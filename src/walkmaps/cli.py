@@ -68,6 +68,10 @@ class RotationDocError(DocumentError):
     exit_code = EXIT_BAD_ROTATION
 
 
+class UsageError(ValueError):
+    """A flag or environment value the command cannot run with; exits 64."""
+
+
 @dataclass(frozen=True)
 class MapDocument:
     """Parsed and validated map file; ``rotation_map`` is None for bare graphs."""
@@ -189,9 +193,12 @@ def _env_int(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         return fallback
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def _walk_json(w: Walk) -> str:
@@ -261,6 +268,9 @@ def run(argv: Sequence[str]) -> int:
         caret = " " * err.position + "^"
         diagnostics.extend([str(err), err.text, caret])
         code = EXIT_USAGE
+    except UsageError as err:
+        diagnostics.append(str(err))
+        code = EXIT_USAGE
     except DocumentError as err:
         diagnostics.append(str(err))
         code = err.exit_code
@@ -290,6 +300,10 @@ def _echo_args(args) -> list[str]:
 
 
 def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
+    for flag in ("max_len", "max_states"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
     doc = _load_document(args.file)
     g = doc.graph
 

@@ -12,6 +12,12 @@ The relation itself is only searched, never decided: bounded breadth-first
 search produces certificates, and an exhausted search is kept apart from a
 disproof. The independent negative signal is the Euler characteristic,
 which for a connected map is 2 exactly on sphere embeddings.
+
+A walk is certified homotopic to its normal form from the trace of
+``rewrite.normalize``: each trace step deletes one loop, and the moves
+collapsing that loop are searched for once per quasi-simple loop. When a
+collapse cannot be certified, ``Inconclusive`` names the leftmost blocked
+loop in trace order.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import rewrite
 from .embedding import Face, RotationMap, _ccw_steps, _cw_steps, euler_characteristic, trace_faces
 from .enumeration import enumerate_all_qswalks, iter_walks_up_to
 from .graph import Dart, is_connected
-from .walk import Walk, _raw_walk, compose, prepend, single_step, split_at, suffix_from, trivial
+from .walk import Walk, _raw_walk, compose, prepend, trivial
 
 CCW_TO_CW = "ccw_to_cw"
 CW_TO_CCW = "cw_to_ccw"
@@ -40,6 +46,10 @@ class SearchBudget:
 
     max_len: int
     max_states: int = 200_000
+
+    def __post_init__(self) -> None:
+        if self.max_len < 0 or self.max_states < 0:
+            raise ValueError(f"search budget must be non-negative, got {self}")
 
 
 def default_budget(m: RotationMap) -> SearchBudget:
@@ -151,17 +161,6 @@ def concat_certificates(c1: HomotopyCertificate, c2: HomotopyCertificate) -> Hom
     return HomotopyCertificate(c1.source, c2.target, c1.moves + c2.moves)
 
 
-def _chain(*certs: HomotopyCertificate) -> HomotopyCertificate:
-    out = certs[0]
-    for c in certs[1:]:
-        out = concat_certificates(out, c)
-    return out
-
-
-def _hrefl(w: Walk) -> HomotopyCertificate:
-    return HomotopyCertificate(w, w, ())
-
-
 def whisker(
     left: Optional[Walk], cert: HomotopyCertificate, right: Optional[Walk]
 ) -> HomotopyCertificate:
@@ -183,8 +182,14 @@ def whisker(
             w = compose(w, right)
         return w
 
-    moves = tuple(replace(mv, prefix_len=mv.prefix_len + shift) for mv in cert.moves)
-    return HomotopyCertificate(extend(cert.source), extend(cert.target), moves)
+    return HomotopyCertificate(extend(cert.source), extend(cert.target), _shifted(cert.moves, shift))
+
+
+def _shifted(moves: tuple[HomotopyMove, ...], k: int) -> tuple[HomotopyMove, ...]:
+    """The same moves applied ``k`` steps further into the walk."""
+    if not k:
+        return moves
+    return tuple(HomotopyMove(mv.face, mv.a, mv.b, mv.prefix_len + k, mv.direction) for mv in moves)
 
 
 class _MoveEngine:
@@ -256,7 +261,7 @@ def _bfs(
     is not a budget artifact. A certificate found is always replay-valid.
     """
     if w1.key() == w2.key():
-        return _hrefl(w1), True
+        return HomotopyCertificate(w1, w2, ()), True
     # parent maps: state key -> (parent key, move from parent)
     sides = (
         {"origin": w1, "parents": {w1.key(): None}, "frontier": deque([w1])},
@@ -351,9 +356,11 @@ class HomotopyNormalForm:
 class Inconclusive:
     """A normalization blocked on an unproven collapse: the sub-goal pair.
 
-    ``exhausted`` distinguishes a fully explored bounded search (the goal
-    genuinely has no certificate within the length cap) from a state-budget
-    cutoff.
+    The certificate is built from the ``rewrite.normalize`` trace, and the
+    sub-goal is the leftmost blocked loop in trace order: a quasi-simple
+    loop paired with the trivial walk at its basepoint. ``exhausted``
+    distinguishes a fully explored bounded search (the goal genuinely has
+    no certificate within the length cap) from a state-budget cutoff.
     """
 
     subgoal: tuple[Walk, Walk]
@@ -361,131 +368,68 @@ class Inconclusive:
     exhausted: bool
 
 
-class _NormalizeSession:
-    """Shared caches for normalizing many walks over one map.
+class _Blocked(Exception):
+    """A loop collapse the search could not certify."""
 
-    ``build_certs`` toggles certificate assembly; collapse searches run in
-    either mode, so conclusiveness is identical, but status-only bulk
-    checking skips materializing move lists.
+    def __init__(self, loop: Walk, exhausted: bool):
+        self.subgoal = (loop, trivial(loop.graph, loop.start, symmetric=True))
+        self.exhausted = exhausted
+
+
+class _Certifier:
+    """Moves from walks to their ``rewrite.normalize`` normal forms on one map.
+
+    Each trace step deletes one loop. A loop collapses piece by piece, cut
+    at each return to its basepoint: the inside of a piece is brought to
+    its normal form first, which leaves a quasi-simple loop for one search.
+    Searches and loop collapses are memoized per loop; an uncertified
+    search raises _Blocked, so the first blocked loop in trace order wins.
     """
 
-    def __init__(self, m: RotationMap, budget: Optional[SearchBudget], build_certs: bool = True):
-        self.map = m
-        self.graph = m.graph
-        self.budget = budget or default_budget(m)
+    def __init__(self, m: RotationMap, budget: SearchBudget):
+        self.budget = budget
         self.engine = _MoveEngine(m)
-        self.build_certs = build_certs
-        self._collapse: dict[tuple, tuple[Optional[HomotopyCertificate], bool]] = {}
-        # walk key -> (nf, cert|None, failing pair|None, exhausted)
-        self._memo: dict[tuple, tuple] = {}
+        self._searches: dict[tuple, tuple[Optional[HomotopyCertificate], bool]] = {}
+        self._collapses: dict[tuple, tuple[HomotopyMove, ...]] = {}
 
-    def collapse(self, w: Walk) -> tuple[Optional[HomotopyCertificate], bool]:
-        key = w.key()
-        if key not in self._collapse:
-            target = trivial(self.graph, w.start, symmetric=True)
-            self._collapse[key] = _bfs(self.engine, w, target, self.budget)
-        return self._collapse[key]
+    def normal_form(self, w: Walk) -> tuple[Walk, rewrite.ReductionTrace, tuple[HomotopyMove, ...]]:
+        """``rewrite.normalize(w)`` plus the moves deforming ``w`` into its normal form."""
+        nf, trace = rewrite.normalize(w)
+        moves: list[HomotopyMove] = []
+        for s in trace.steps:
+            at = s.site if s.rule == rewrite.XI2 else 0
+            end = at + s.before.length - s.after.length
+            moves.extend(_shifted(self._collapse(s.before, at, end), at))
+        return nf, trace, tuple(moves)
 
-    def go(self, w: Walk) -> tuple[Walk, Optional[HomotopyCertificate], Optional[tuple], bool]:
-        key = w.key()
-        if key not in self._memo:
-            self._memo[key] = self._compute(w)
-        return self._memo[key]
+    def _collapse(self, w: Walk, at: int, end: int) -> tuple[HomotopyMove, ...]:
+        """Moves collapsing the loop ``w.steps[at:end]`` to its basepoint."""
+        x = w.node_at(at)
+        key = (x, w.steps[at:end])
+        if key not in self._collapses:
+            moves: list[HomotopyMove] = []
+            piece = at
+            while piece < end:
+                cut = piece + 1
+                while w.node_at(cut) != x:
+                    cut += 1
+                inner = Walk(w.graph, w.node_at(piece + 1), w.steps[piece + 1 : cut], True)
+                nf, _, inner_moves = self.normal_form(inner)
+                moves.extend(_shifted(inner_moves, 1))
+                moves.extend(self._search(prepend(w.steps[piece], nf)))
+                piece = cut
+            self._collapses[key] = tuple(moves)
+        return self._collapses[key]
 
-    def _compute(self, w: Walk):
-        g = self.graph
-        x, z = w.start, w.end
-        n = w.length
-        point = trivial(g, x, symmetric=True)
-        build = self.build_certs
-        if n == 0:
-            return (w, _hrefl(w) if build else None, None, True)
-        if n == 1:
-            if x == z:
-                cert, exhausted = self.collapse(w)
-                if cert is None:
-                    return (point, None, (w, point), exhausted)
-                return (point, cert if build else None, None, True)
-            return (w, _hrefl(w) if build else None, None, True)
-        first = w.steps[0]
-        y = w.node_at(1)
-        rest = suffix_from(w, 1)
-        edge_walk = single_step(g, first, symmetric=True)
-        if x == y:
-            nf_rest, sub_cert, failing, exhausted = self.go(rest)
-            if failing is not None:
-                return (point, None, failing, exhausted)
-            if x == z:
-                # w ~ first . nf(rest) ~ first . <x> ~ <x>
-                c_tail, exh1 = self.collapse(nf_rest)
-                if c_tail is None:
-                    return (point, None, (nf_rest, point), exh1)
-                c_loop, exh2 = self.collapse(edge_walk)
-                if c_loop is None:
-                    return (point, None, (edge_walk, point), exh2)
-                cert = None
-                if build:
-                    cert = _chain(
-                        whisker(edge_walk, sub_cert, None),
-                        whisker(edge_walk, c_tail, None),
-                        c_loop,
-                    )
-                return (point, cert, None, True)
-            c_loop, exh = self.collapse(edge_walk)
-            if c_loop is None:
-                return (point, None, (edge_walk, point), exh)
-            cert = None
-            if build:
-                cert = concat_certificates(whisker(None, c_loop, rest), sub_cert)
-            return (nf_rest, cert, None, True)
-        found = split_at(rest, x)
-        if found is not None:
-            w1, w2 = found
-            nf1, cert1, failing, exhausted = self.go(w1)
-            if failing is not None:
-                return (point, None, failing, exhausted)
-            nf2, cert2, failing, exhausted = self.go(w2)
-            if failing is not None:
-                return (point, None, failing, exhausted)
-            closed = prepend(first, nf1)  # quasi-simple loop at x
-            c_closed, exh = self.collapse(closed)
-            if c_closed is None:
-                return (point, None, (closed, point), exh)
-            if x == z:
-                c_tail, exh2 = self.collapse(nf2)
-                if c_tail is None:
-                    return (point, None, (nf2, point), exh2)
-                cert = None
-                if build:
-                    cert = _chain(
-                        whisker(None, whisker(edge_walk, cert1, None), w2),
-                        whisker(closed, cert2, None),
-                        whisker(None, c_closed, nf2),
-                        c_tail,
-                    )
-                return (point, cert, None, True)
-            cert = None
-            if build:
-                cert = _chain(
-                    whisker(None, whisker(edge_walk, cert1, None), w2),
-                    whisker(closed, cert2, None),
-                    whisker(None, c_closed, nf2),
-                )
-            return (nf2, cert, None, True)
-        nf_rest, sub_cert, failing, exhausted = self.go(rest)
-        if failing is not None:
-            return (point, None, failing, exhausted)
-        if x == z:
-            closed = prepend(first, nf_rest)
-            c_closed, exh = self.collapse(closed)
-            if c_closed is None:
-                return (point, None, (closed, point), exh)
-            cert = None
-            if build:
-                cert = concat_certificates(whisker(edge_walk, sub_cert, None), c_closed)
-            return (point, cert, None, True)
-        cert = whisker(edge_walk, sub_cert, None) if build else None
-        return (prepend(first, nf_rest), cert, None, True)
+    def _search(self, loop: Walk) -> tuple[HomotopyMove, ...]:
+        key = loop.key()
+        if key not in self._searches:
+            point = trivial(loop.graph, loop.start, symmetric=True)
+            self._searches[key] = _bfs(self.engine, loop, point, self.budget)
+        cert, exhausted = self._searches[key]
+        if cert is None:
+            raise _Blocked(loop, exhausted)
+        return cert.moves
 
 
 def normalize_homotopy(
@@ -493,24 +437,21 @@ def normalize_homotopy(
 ) -> HomotopyNormalForm | Inconclusive:
     """Normalize ``w`` and certify that it is homotopic to its normal form.
 
-    The reduction trace is the deterministic one from ``rewrite.normalize``;
-    the certificate assembles whiskered sub-certificates and loop collapses
-    along the same case analysis. A collapse sub-goal the search cannot
-    certify (map not spherical, or budget too small) yields Inconclusive
-    carrying that sub-goal.
+    The normal form and trace are those of ``rewrite.normalize``; the
+    certificate collapses the loop each trace step deletes. A collapse the
+    search cannot certify (map not spherical, or budget too small) yields
+    Inconclusive carrying the leftmost blocked loop in trace order.
     """
     if w.graph != m.graph:
         raise ValueError("walk does not live on the map's graph")
     if not w.symmetric:
         raise ValueError("normalize_homotopy acts on walks in the symmetrised graph")
-    session = _NormalizeSession(m, budget, build_certs=True)
-    nf, cert, failing, exhausted = session.go(w)
-    if failing is not None:
-        return Inconclusive(failing, session.budget, exhausted)
-    nf_check, trace = rewrite.normalize(w)
-    assert nf_check.key() == nf.key(), "certificate recursion disagrees with normalization"
-    assert cert is not None and cert.target.key() == nf.key()
-    return HomotopyNormalForm(nf, trace, cert)
+    budget = budget or default_budget(m)
+    try:
+        nf, trace, moves = _Certifier(m, budget).normal_form(w)
+    except _Blocked as blocked:
+        return Inconclusive(blocked.subgoal, budget, blocked.exhausted)
+    return HomotopyNormalForm(nf, trace, HomotopyCertificate(w, nf, moves))
 
 
 @dataclass(frozen=True, slots=True)
@@ -591,26 +532,29 @@ def check_spherical_bounded(
     searching the quadratic pair space directly. With a ``collector``, the
     nontrivial certificates produced along the way are appended to it.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     budget = budget or default_budget(m)
     if budget.max_len < max_len:
         budget = replace(budget, max_len=max_len)
-    session = _NormalizeSession(m, budget, build_certs=collector is not None)
+    certifier = _Certifier(m, budget)
     pairs = 0
     for x in range(m.graph.node_count):
         for y in range(m.graph.node_count):
             normal_forms: dict[tuple, Walk] = {}
             for w in iter_walks_up_to(m.graph, max_len, x, y, symmetric=True):
                 pairs += 1
-                nf, cert, failing, _ = session.go(w)
-                if failing is not None:
-                    return _failure_verdict(m, failing, budget, pairs)
-                if collector is not None and cert is not None and cert.moves:
-                    collector.append(cert)
+                try:
+                    nf, _, moves = certifier.normal_form(w)
+                except _Blocked as blocked:
+                    return _failure_verdict(m, blocked.subgoal, budget, pairs)
+                if collector is not None and moves:
+                    collector.append(HomotopyCertificate(w, nf, moves))
                 normal_forms.setdefault(nf.key(), nf)
             reps = list(normal_forms.values())
             for other in reps[1:]:
                 pairs += 1
-                cert, _ = _bfs(session.engine, reps[0], other, budget)
+                cert, _ = _bfs(certifier.engine, reps[0], other, budget)
                 if cert is None:
                     return _failure_verdict(m, (reps[0], other), budget, pairs)
                 if collector is not None:

@@ -225,3 +225,23 @@ def test_budget_env_vars_apply(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_NEGATIVE
     assert report["result"]["status"] == "inconclusive"
+
+
+NEGATIVE_BUDGET_CASES = [
+    ("max_len_flag", ["check-spherical", "k4sphere.json", "--method", "bounded", "--max-len", "-1"], {}),
+    ("max_states_flag", ["homotopic", "k4sphere.json", "--w1", "0:e0+", "--w2", "0:e0+", "--max-states", "-1"], {}),
+    ("max_len_env", ["homotopic", "k4sphere.json", "--w1", "0:e0+", "--w2", "0:e0+"], {"WALKMAPS_MAX_LEN": "-1"}),
+    ("max_states_env", ["check-spherical", "k4sphere.json"], {"WALKMAPS_MAX_STATES": "-1"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,env", NEGATIVE_BUDGET_CASES, ids=[c[0] for c in NEGATIVE_BUDGET_CASES]
+)
+def test_negative_budget_exits_64(name, argv, env, capsys, monkeypatch):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    report, code = _run(argv, capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert report["result"] == {}
+    assert any("must be non-negative" in d for d in report["diagnostics"])

@@ -17,6 +17,7 @@ from walkmaps import (
     check_spherical_quasi,
     compose,
     concat_certificates,
+    is_quasi_simple,
     loop_collapse_cert,
     normalize,
     normalize_homotopy,
@@ -250,8 +251,27 @@ def test_bounded_check_certificates_replay_sampled():
     verdict = check_spherical_bounded(m, 6, collector=collector)
     assert verdict.status == "spherical"
     assert collector
-    for cert in collector[::25]:
+    for cert in collector:
         replay_certificate(m, cert)
+
+
+def test_bounded_check_certificate_totals_on_k4():
+    collector = []
+    verdict = check_spherical_bounded(k4sphere_map(), 4, collector=collector)
+    assert (verdict.status, verdict.pairs_checked) == ("spherical", 532)
+    assert len(collector) == 468
+    assert sum(len(cert.moves) for cert in collector) == 1032
+
+
+@pytest.mark.parametrize("fields", [{"max_len": -1}, {"max_len": 4, "max_states": -1}])
+def test_search_budget_rejects_negative_limits(fields):
+    with pytest.raises(ValueError):
+        SearchBudget(**fields)
+
+
+def test_check_spherical_bounded_rejects_negative_max_len():
+    with pytest.raises(ValueError):
+        check_spherical_bounded(digon_map(), -1)
 
 
 def test_check_spherical_euler():
@@ -307,7 +327,8 @@ def test_random_maps_produce_replayable_results():
             res = normalize_homotopy(m, w1, budget)
             if isinstance(res, Inconclusive):
                 src, dst = res.subgoal
-                assert src.start == src.end and dst.length == 0
+                assert src.start == src.end and src.length > 0 and is_quasi_simple(src)
+                assert dst == trivial(g, src.start, symmetric=True)
             else:
                 replay_certificate(m, res.certificate)
                 nf, trace = normalize(w1)
