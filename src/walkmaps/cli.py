@@ -24,7 +24,6 @@ from .embedding import (
     RotationMap,
     build_rotation_map,
     euler_characteristic,
-    trace_faces,
 )
 from .enumeration import enumerate_all_qswalks, iter_walks_up_to
 from .graph import Graph, ValidationError, build_graph, is_connected, parse_dart
@@ -195,7 +194,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return fallback
+        raise UsageError(f"{name} must be non-negative, got non-integer {raw!r}") from None
     if value < 0:
         raise UsageError(f"{name} must be non-negative, got {value}")
     return value
@@ -318,7 +317,7 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
 
     if args.cmd == "faces":
         m = doc.require_map()
-        faces = trace_faces(m)
+        faces = m.faces
         return {
             "faces": [
                 {

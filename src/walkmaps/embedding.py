@@ -14,7 +14,7 @@ segment pairs that walk homotopy may exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .graph import (
@@ -40,10 +40,18 @@ class RotationError(ValidationError):
 
 @dataclass(frozen=True, slots=True)
 class RotationMap:
-    """A graph together with a validated cyclic order at every node."""
+    """A graph together with a validated cyclic order at every node.
+
+    ``faces`` is traced once, when the map is built, and takes no part in
+    comparison.
+    """
 
     graph: Graph
     rotations: tuple[CyclicOrder, ...]
+    faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "faces", trace_faces(self))
 
     def rotation_at(self, x: int) -> CyclicOrder:
         return self.rotations[x]
@@ -131,11 +139,14 @@ def trace_faces(m: RotationMap) -> tuple[Face, ...]:
 def euler_characteristic(m: RotationMap) -> int:
     """V - E + F for the embedding defined by the map.
 
-    Equals 2 exactly on sphere embeddings of connected graphs; check
-    connectivity separately before reading it as a sphericity verdict.
+    A node without incident darts is an isolated point, a sphere of its
+    own, and counts as one face. Equals 2 exactly on sphere embeddings of
+    connected graphs; check connectivity separately before reading it as a
+    sphericity verdict.
     """
     g = m.graph
-    return g.node_count - g.edge_count + len(trace_faces(m))
+    points = sum(1 for r in m.rotations if not r.elements)
+    return g.node_count - g.edge_count + len(m.faces) + points
 
 
 def _cw_steps(boundary: tuple[Dart, ...], a: int, b: int) -> tuple[Dart, ...]:
@@ -162,10 +173,9 @@ def boundary_walks(m: RotationMap, a: BoundaryAnchor, b: BoundaryAnchor) -> Boun
     """
     if a.face != b.face:
         raise ValueError(f"anchors lie on different faces ({a.face} != {b.face})")
-    faces = trace_faces(m)
-    if not (0 <= a.face < len(faces)):
+    if not (0 <= a.face < len(m.faces)):
         raise ValueError(f"no face {a.face}")
-    boundary = faces[a.face].boundary
+    boundary = m.faces[a.face].boundary
     for anchor in (a, b):
         if not (0 <= anchor.position < len(boundary)):
             raise ValueError(f"anchor position {anchor.position} outside boundary")

@@ -129,9 +129,12 @@ def incident_darts(g: Graph, x: int) -> tuple[Dart, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether ``g`` is connected when edge directions are ignored."""
+    """Whether ``g`` is connected when edge directions are ignored.
+
+    The graph without nodes is not: it has no component at all.
+    """
     if g.node_count <= 1:
-        return True
+        return g.node_count == 1
     adjacency: list[list[int]] = [[] for _ in range(g.node_count)]
     for e in g.edges:
         adjacency[e.source].append(e.target)

@@ -27,10 +27,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import rewrite
-from .embedding import Face, RotationMap, _ccw_steps, _cw_steps, euler_characteristic, trace_faces
+from .embedding import Face, RotationMap, _ccw_steps, _cw_steps, euler_characteristic
 from .enumeration import enumerate_all_qswalks, iter_walks_up_to
 from .graph import Dart, is_connected
-from .walk import Walk, _raw_walk, compose, prepend, trivial
+from .walk import Walk, compose, prepend, trivial
 
 CCW_TO_CW = "ccw_to_cw"
 CW_TO_CCW = "cw_to_ccw"
@@ -54,7 +54,7 @@ class SearchBudget:
 
 def default_budget(m: RotationMap) -> SearchBudget:
     """Twice the node count plus the longest face boundary; 200k states."""
-    longest = max((len(f) for f in trace_faces(m)), default=0)
+    longest = max((len(f) for f in m.faces), default=0)
     return SearchBudget(2 * m.graph.node_count + longest)
 
 
@@ -116,10 +116,9 @@ def apply_hcollapse(m: RotationMap, w: Walk, move: HomotopyMove) -> Walk:
         raise ValueError("walk does not live on the map's graph")
     if not w.symmetric:
         raise ValueError("homotopy moves act on walks in the symmetrised graph")
-    faces = trace_faces(m)
-    if not (0 <= move.face < len(faces)):
+    if not (0 <= move.face < len(m.faces)):
         raise ValueError(f"no face {move.face}")
-    face = faces[move.face]
+    face = m.faces[move.face]
     for pos in (move.a, move.b):
         if not (0 <= pos < len(face)):
             raise ValueError(f"anchor position {pos} outside boundary of face {move.face}")
@@ -192,63 +191,61 @@ def _shifted(moves: tuple[HomotopyMove, ...], k: int) -> tuple[HomotopyMove, ...
     return tuple(HomotopyMove(mv.face, mv.a, mv.b, mv.prefix_len + k, mv.direction) for mv in moves)
 
 
+def _codes(steps) -> tuple[int, ...]:
+    """Darts as integer codes ``2*edge + (0 if forward else 1)``; reversal is ``^ 1``."""
+    return tuple(2 * d.edge + (not d.forward) for d in steps)
+
+
+def _darts(codes) -> tuple[Dart, ...]:
+    return tuple(Dart(c >> 1, not c & 1) for c in codes)
+
+
 class _MoveEngine:
     """Precomputed move table for one map: all segment exchange templates.
 
-    Templates whose source segment is nonempty are indexed by their first
-    dart; full-boundary insertions (the trivial source) by their anchor
-    node. Successor walks skip re-validation: an exact segment match plus
-    the shared endpoints of the two boundary routes guarantee adjacency.
+    The search runs on integer darts (``_codes``): a state is the step
+    tuple of a walk, whose start every move keeps. Templates whose source
+    segment is nonempty are listed under the code of their first dart;
+    full-boundary insertions (the trivial source) under their anchor node.
+    A successor is a ``(face, a, b, direction)`` descriptor, the offset it
+    applies at and the resulting steps; ``HomotopyMove``s are built only
+    for the path a search returns.
     """
 
     def __init__(self, m: RotationMap):
-        self.map = m
-        self.graph = m.graph
-        self.faces = trace_faces(m)
-        # entry: (src, dst, face, a, b, direction)
-        self.by_first_dart: dict[Dart, list[tuple]] = {}
-        self.insertions_by_node: dict[int, list[tuple]] = {}
-        for face in self.faces:
+        g = m.graph
+        self.head = [g.head(d) for d in _darts(range(2 * g.edge_count))]
+        # entry: (src, dst, len(dst) - len(src), descriptor)
+        self.by_first_dart: list[list[tuple]] = [[] for _ in self.head]
+        self.insertions_by_node: list[list[tuple]] = [[] for _ in range(g.node_count)]
+        for face in m.faces:
             boundary = face.boundary
-            tails = [self.graph.tail(d) for d in boundary]
             for a in range(len(boundary)):
                 for b in range(len(boundary)):
-                    cw = _cw_steps(boundary, a, b)
-                    ccw = _ccw_steps(boundary, a, b)
+                    cw = _codes(_cw_steps(boundary, a, b))
+                    ccw = _codes(_ccw_steps(boundary, a, b))
                     for src, dst, direction in ((ccw, cw, CCW_TO_CW), (cw, ccw, CW_TO_CCW)):
-                        entry = (src, dst, face.id, a, b, direction)
+                        entry = (src, dst, len(dst) - len(src), (face.id, a, b, direction))
                         if src:
-                            self.by_first_dart.setdefault(src[0], []).append(entry)
+                            self.by_first_dart[src[0]].append(entry)
                         else:
-                            self.insertions_by_node.setdefault(tails[a], []).append(entry)
+                            self.insertions_by_node[g.tail(boundary[a])].append(entry)
 
-    def successors(self, w: Walk, max_len: int):
-        """All (move, walk) pairs one move away, length-capped."""
-        g = self.graph
-        steps = w.steps
+    def successors(self, start: int, steps: tuple[int, ...], max_len: int):
+        """All (descriptor, offset, steps) one move away, length-capped."""
         length = len(steps)
-        nodes = w.nodes()
+        at = start
         for i in range(length + 1):
-            for src, dst, face, a, b, direction in self.insertions_by_node.get(nodes[i], ()):
-                if length + len(dst) > max_len:
-                    continue
-                yield (
-                    HomotopyMove(face, a, b, i, direction),
-                    _raw_walk(g, w.start, steps[:i] + dst + steps[i:], True),
-                )
+            for _, dst, grow, desc in self.insertions_by_node[at]:
+                if length + grow <= max_len:
+                    yield desc, i, steps[:i] + dst + steps[i:]
+            if i < length:
+                at = self.head[steps[i]]
         for i in range(length):
-            entries = self.by_first_dart.get(steps[i])
-            if not entries:
-                continue
-            for src, dst, face, a, b, direction in entries:
+            for src, dst, grow, desc in self.by_first_dart[steps[i]]:
                 ls = len(src)
-                if i + ls > length or length - ls + len(dst) > max_len:
-                    continue
-                if steps[i : i + ls] == src:
-                    yield (
-                        HomotopyMove(face, a, b, i, direction),
-                        _raw_walk(g, w.start, steps[:i] + dst + steps[i + ls :], True),
-                    )
+                if i + ls <= length and length + grow <= max_len and steps[i : i + ls] == src:
+                    yield desc, i, steps[:i] + dst + steps[i + ls :]
 
 
 def _bfs(
@@ -262,47 +259,39 @@ def _bfs(
     """
     if w1.key() == w2.key():
         return HomotopyCertificate(w1, w2, ()), True
-    # parent maps: state key -> (parent key, move from parent)
-    sides = (
-        {"origin": w1, "parents": {w1.key(): None}, "frontier": deque([w1])},
-        {"origin": w2, "parents": {w2.key(): None}, "frontier": deque([w2])},
-    )
+    start = w1.start
+    origins = (_codes(w1.steps), _codes(w2.steps))
+    # parent maps: steps -> (parent steps, descriptor, offset) of the move from the parent
+    parents = ({origins[0]: None}, {origins[1]: None})
+    frontiers = (deque([origins[0]]), deque([origins[1]]))
     visited = 2
 
-    def rebuild(meet_key, forward_side, backward_side, bridge_move, bridge_parent_key):
-        # path on the forward side runs origin -> meet (bridge move included)
-        moves_fwd: list[HomotopyMove] = [bridge_move]
-        k = bridge_parent_key
-        while sides[forward_side]["parents"][k] is not None:
-            pk, mv = sides[forward_side]["parents"][k]
-            moves_fwd.append(mv)
-            k = pk
-        moves_fwd.reverse()
-        # path on the backward side runs its origin -> meet; invert it
-        moves_bwd: list[HomotopyMove] = []
-        k = meet_key
-        while sides[backward_side]["parents"][k] is not None:
-            pk, mv = sides[backward_side]["parents"][k]
-            moves_bwd.append(mv.inverted())
-            k = pk
-        all_moves = tuple(moves_fwd) + tuple(moves_bwd)
-        if forward_side == 0:
-            return HomotopyCertificate(w1, w2, all_moves)
-        flipped = tuple(mv.inverted() for mv in reversed(all_moves))
-        return HomotopyCertificate(w1, w2, flipped)
+    def path(side: int, key) -> list[HomotopyMove]:
+        # the moves from the side's origin to ``key``
+        moves = []
+        while parents[side][key] is not None:
+            key, (face, a, b, direction), i = parents[side][key]
+            moves.append(HomotopyMove(face, a, b, i, direction))
+        moves.reverse()
+        return moves
 
-    while sides[0]["frontier"] and sides[1]["frontier"]:
-        side = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-        other = 1 - side
-        current = sides[side]["frontier"].popleft()
-        for move, nxt in engine.successors(current, budget.max_len):
-            key = nxt.key()
-            if key in sides[side]["parents"]:
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        own, other = parents[side], parents[1 - side]
+        current = frontiers[side].popleft()
+        for desc, i, nxt in engine.successors(start, current, budget.max_len):
+            if nxt in own:
                 continue
-            if key in sides[other]["parents"]:
-                return rebuild(key, side, other, move, current.key()), True
-            sides[side]["parents"][key] = (current.key(), move)
-            sides[side]["frontier"].append(nxt)
+            if nxt in other:
+                face, a, b, direction = desc
+                fwd = path(side, current) + [HomotopyMove(face, a, b, i, direction)]
+                bwd = [mv.inverted() for mv in reversed(path(1 - side, nxt))]
+                moves = tuple(fwd + bwd)
+                if side == 1:
+                    moves = tuple(mv.inverted() for mv in reversed(moves))
+                return HomotopyCertificate(w1, w2, moves), True
+            own[nxt] = (current, desc, i)
+            frontiers[side].append(nxt)
             visited += 1
             if visited > budget.max_states:
                 return None, False
@@ -405,7 +394,7 @@ class _Certifier:
     def _collapse(self, w: Walk, at: int, end: int) -> tuple[HomotopyMove, ...]:
         """Moves collapsing the loop ``w.steps[at:end]`` to its basepoint."""
         x = w.node_at(at)
-        key = (x, w.steps[at:end])
+        key = (x, _codes(w.steps[at:end]))
         if key not in self._collapses:
             moves: list[HomotopyMove] = []
             piece = at
@@ -422,7 +411,7 @@ class _Certifier:
         return self._collapses[key]
 
     def _search(self, loop: Walk) -> tuple[HomotopyMove, ...]:
-        key = loop.key()
+        key = (loop.start, _codes(loop.steps))
         if key not in self._searches:
             point = trivial(loop.graph, loop.start, symmetric=True)
             self._searches[key] = _bfs(self.engine, loop, point, self.budget)

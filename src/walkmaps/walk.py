@@ -72,16 +72,6 @@ class Walk:
         return compact(self)
 
 
-def _raw_walk(graph: Graph, start: int, steps: tuple[Dart, ...], symmetric: bool) -> Walk:
-    # fast path for internal callers that guarantee adjacency themselves
-    w = object.__new__(Walk)
-    object.__setattr__(w, "graph", graph)
-    object.__setattr__(w, "start", start)
-    object.__setattr__(w, "steps", steps)
-    object.__setattr__(w, "symmetric", symmetric)
-    return w
-
-
 class Split(NamedTuple):
     """A walk divided at the first occurrence of a node."""
 

@@ -232,6 +232,8 @@ NEGATIVE_BUDGET_CASES = [
     ("max_states_flag", ["homotopic", "k4sphere.json", "--w1", "0:e0+", "--w2", "0:e0+", "--max-states", "-1"], {}),
     ("max_len_env", ["homotopic", "k4sphere.json", "--w1", "0:e0+", "--w2", "0:e0+"], {"WALKMAPS_MAX_LEN": "-1"}),
     ("max_states_env", ["check-spherical", "k4sphere.json"], {"WALKMAPS_MAX_STATES": "-1"}),
+    ("max_len_env_text", ["homotopic", "k4sphere.json", "--w1", "0:e0+", "--w2", "0:e0+"], {"WALKMAPS_MAX_LEN": "abc"}),
+    ("max_states_env_text", ["check-spherical", "k4sphere.json"], {"WALKMAPS_MAX_STATES": "abc"}),
 ]
 
 

@@ -8,6 +8,7 @@ from walkmaps import (
     BoundaryAnchor,
     Dart,
     RotationError,
+    RotationMap,
     Walk,
     boundary_walks,
     build_rotation_map,
@@ -188,9 +189,11 @@ def test_random_rotations_trace_valid_embeddings():
         g = random_graph(rng)
         m = _random_map(rng, g)
         faces = trace_faces(m)
+        assert m.faces == faces
+        assert RotationMap(g, m.rotations).faces == faces
         seen = [d for f in faces for d in f.boundary]
         assert len(seen) == 2 * g.edge_count
         assert len(set(seen)) == len(seen)
-        if is_connected(g) and g.edge_count:
+        if is_connected(g):
             chi = euler_characteristic(m)
             assert chi <= 2 and chi % 2 == 0

@@ -139,3 +139,4 @@ def test_is_connected():
     assert is_connected(triangle_graph())
     assert not is_connected(build_graph(2, []))
     assert is_connected(build_graph(1, []))
+    assert not is_connected(build_graph(0, []))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkmaps import (
     Dart,
@@ -12,11 +14,14 @@ from walkmaps import (
     SearchBudget,
     Walk,
     apply_hcollapse,
+    build_graph,
+    build_rotation_map,
     check_spherical_bounded,
     check_spherical_euler,
     check_spherical_quasi,
     compose,
     concat_certificates,
+    incident_darts,
     is_quasi_simple,
     loop_collapse_cert,
     normalize,
@@ -27,9 +32,10 @@ from walkmaps import (
     trivial,
     whisker,
 )
-from walkmaps.homotopy import CW_TO_CCW, SegmentMismatchError
+from walkmaps.homotopy import CW_TO_CCW, SegmentMismatchError, default_budget
 
 from .fixtures import (
+    all_fixture_maps,
     digon_map,
     k4sphere_map,
     loop1_map,
@@ -263,6 +269,36 @@ def test_bounded_check_certificate_totals_on_k4():
     assert sum(len(cert.moves) for cert in collector) == 1032
 
 
+def test_quasi_check_certificate_totals_on_k4():
+    collector = []
+    verdict = check_spherical_quasi(k4sphere_map(), collector=collector)
+    assert (verdict.status, verdict.pairs_checked) == ("spherical", 180)
+    assert len(collector) == 180
+    assert sum(len(cert.moves) for cert in collector) == 360
+
+
+def test_replay_reads_the_faces_traced_with_the_map(monkeypatch):
+    import walkmaps.embedding
+    import walkmaps.homotopy
+
+    m = k4sphere_map()
+    certs = []
+    check_spherical_quasi(m, collector=certs)
+    calls = []
+    traced = walkmaps.embedding.trace_faces
+
+    def counting(mm):
+        calls.append(mm)
+        return traced(mm)
+
+    # count calls through either module that could bind the tracer
+    for module in (walkmaps.embedding, walkmaps.homotopy):
+        monkeypatch.setattr(module, "trace_faces", counting, raising=False)
+    for cert in certs:
+        replay_certificate(m, cert)
+    assert certs and calls == []
+
+
 @pytest.mark.parametrize("fields", [{"max_len": -1}, {"max_len": 4, "max_states": -1}])
 def test_search_budget_rejects_negative_limits(fields):
     with pytest.raises(ValueError):
@@ -333,6 +369,58 @@ def test_random_maps_produce_replayable_results():
                 replay_certificate(m, res.certificate)
                 nf, trace = normalize(w1)
                 assert (res.walk, res.trace) == (nf, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_successors_are_walks_one_move_away(data):
+    # successor states skip Walk validation; decoded, each must be a valid
+    # walk with the same endpoints, and the move it names must produce it
+    from walkmaps.homotopy import HomotopyMove, _codes, _darts, _MoveEngine
+
+    from .strategies import graphs
+
+    g = data.draw(graphs(max_nodes=4, max_edges=5))
+    rotation = {x: data.draw(st.permutations(incident_darts(g, x))) for x in range(g.node_count)}
+    m = build_rotation_map(g, rotation)
+    x = data.draw(st.integers(0, g.node_count - 1))
+    steps = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        options = incident_darts(g, x if not steps else g.head(steps[-1]))
+        if not options:
+            break
+        steps.append(data.draw(st.sampled_from(options)))
+    w = Walk(g, x, tuple(steps), symmetric=True)
+    max_len = data.draw(st.integers(w.length, w.length + 6))
+    for (face, a, b, direction), i, nxt in _MoveEngine(m).successors(x, _codes(w.steps), max_len):
+        moved = Walk(g, x, _darts(nxt), symmetric=True)
+        assert moved.end == w.end and moved.length <= max_len
+        assert apply_hcollapse(m, w, HomotopyMove(face, a, b, i, direction)) == moved
+
+
+def test_checkers_agree_whenever_two_are_conclusive():
+    import random
+
+    from .oracles import random_graph
+    from .test_embedding import _random_map
+
+    edgeless = [build_rotation_map(build_graph(n, []), {}) for n in (0, 1, 2)]
+    sphere_and_point = build_rotation_map(build_graph(2, [(0, 0)]), {0: [Dart(0), Dart(0, False)]})
+    maps = [*all_fixture_maps().values(), *edgeless, sphere_and_point]
+    rng = random.Random(3)
+    maps += [_random_map(rng, random_graph(rng, max_nodes=4, max_edges=4)) for _ in range(30)]
+    for m in maps:
+        budget = SearchBudget(max_len=default_budget(m).max_len, max_states=4000)
+        verdicts = {
+            "quasi": check_spherical_quasi(m, budget).status,
+            "bounded": check_spherical_bounded(m, m.graph.node_count, budget).status,
+            "euler": check_spherical_euler(m).status,
+        }
+        conclusive = {v for v in verdicts.values() if v != "inconclusive"}
+        assert len(conclusive) <= 1, (m, verdicts)
+    assert check_spherical_euler(edgeless[0]).status == "inconclusive"
+    assert check_spherical_euler(edgeless[1]).status == "spherical"
+    assert check_spherical_quasi(edgeless[1]).status == "spherical"
 
 
 def test_quasi_verdicts_match_euler_on_random_maps():
