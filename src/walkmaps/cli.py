@@ -36,7 +36,7 @@ from .homotopy import (
     prove_homotopic,
 )
 from .rewrite import normalize
-from .walk import Walk, WalkSpecError, compact, parse_walk
+from .walk import WalkSpecError, compact, parse_walk
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -200,10 +200,6 @@ def _env_int(name: str, fallback: int) -> int:
     return value
 
 
-def _walk_json(w: Walk) -> str:
-    return compact(w)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="walkmaps", description="Walks, rewriting and embeddings of multigraphs.")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
@@ -350,7 +346,7 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
             diagnostics.append(f"enumerating all walks up to length {bound}")
             walks = list(iter_walks_up_to(g, bound, args.src, args.dst))
         return {
-            "walks": [_walk_json(w) for w in walks],
+            "walks": [compact(w) for w in walks],
             "count": len(walks),
             "quasi_only": bool(args.quasi_only),
         }, EXIT_OK
@@ -359,14 +355,14 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
         w = parse_walk(g, args.walk, symmetric=True)
         nf, trace = normalize(w)
         return {
-            "input": _walk_json(w),
-            "normal_form": _walk_json(nf),
+            "input": compact(w),
+            "normal_form": compact(nf),
             "trace": [
                 {
                     "rule": s.rule,
                     "site": s.site,
-                    "before": _walk_json(s.before),
-                    "after": _walk_json(s.after),
+                    "before": compact(s.before),
+                    "after": compact(s.after),
                 }
                 for s in trace.steps
             ],
@@ -379,8 +375,8 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
         budget = _budget_from(args, m)
         cert = prove_homotopic(m, w1, w2, budget)
         result = {
-            "w1": _walk_json(w1),
-            "w2": _walk_json(w2),
+            "w1": compact(w1),
+            "w2": compact(w2),
             "status": "homotopic" if cert is not None else "inconclusive",
             "moves": None
             if cert is None
@@ -412,7 +408,7 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
             "pairs_checked": verdict.pairs_checked,
             "witness": None
             if verdict.witness is None
-            else [_walk_json(verdict.witness[0]), _walk_json(verdict.witness[1])],
+            else [compact(verdict.witness[0]), compact(verdict.witness[1])],
         }
         if collector is not None:
             _write_certificates(args.certificates, collector)

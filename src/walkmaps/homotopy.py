@@ -386,7 +386,7 @@ class _Certifier:
         nf, trace = rewrite.normalize(w)
         moves: list[HomotopyMove] = []
         for s in trace.steps:
-            at = s.site if s.rule == rewrite.XI2 else 0
+            at = s.depth
             end = at + s.before.length - s.after.length
             moves.extend(_shifted(self._collapse(s.before, at, end), at))
         return nf, trace, tuple(moves)

@@ -10,23 +10,20 @@ The reduction relation has three rules:
   provided the whole walk is not a loop.
 
 Every step strictly shortens the walk, so normalization terminates; normal
-forms are the quasi-simple walks admitting no step. Normal forms are not
-unique, so ``normalize`` fixes a deterministic strategy (documented on the
-function) and records a replayable trace.
+forms are the quasi-simple walks admitting no step. The case analysis of
+the three rules exists once, in the iterative reduct generator
+``_reductions``: ``applicable_reductions`` lists its reducts, ``progress``
+and ``normalize`` take the first, and ``verify_step`` tests membership.
+Normal forms are not unique, so ``normalize`` fixes a deterministic
+strategy (documented on the function) and records a replayable trace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .walk import (
-    Walk,
-    is_quasi_simple,
-    prepend,
-    split_at,
-    suffix_from,
-    trivial,
-)
+from .walk import Walk, is_quasi_simple
 
 XI1 = "xi1"
 XI2 = "xi2"
@@ -72,6 +69,11 @@ class ReductionStep:
     before: Walk
     after: Walk
 
+    @property
+    def depth(self) -> int:
+        """Number of leading edges the step preserves; the deleted loop starts there."""
+        return self.site if self.rule == XI2 else 0
+
 
 @dataclass(frozen=True, slots=True)
 class ReductionTrace:
@@ -95,9 +97,36 @@ class ReductionTrace:
         return at
 
 
-def _lift(d, step: ReductionStep) -> ReductionStep:
-    site = (step.site if step.rule == XI2 else 0) + 1
-    return ReductionStep(XI2, site, prepend(d, step.before), prepend(d, step.after))
+def _reductions(w: Walk, depth: int = 0) -> Iterator[ReductionStep]:
+    """The one-step reducts of ``w`` with at least ``depth`` preserved edges.
+
+    Loops over the number ``k`` of preserved leading edges, starting at
+    ``depth``, and calls the rest after them the inner walk. A nontrivial
+    inner loop collapses and nothing deeper applies. Otherwise each return
+    to the inner start deletes a leading loop, shortest first, and the
+    search goes one edge deeper only when the inner leading edge has
+    distinct endpoints. A reduct at ``k >= 1`` is the ``xi2`` lift of the
+    inner step. Reducts come in derivation order, so depth never decreases.
+    """
+    g, steps, n = w.graph, w.steps, w.length
+    nodes = w.nodes()
+    last = {x: i for i, x in enumerate(nodes)}
+
+    def reduct(rule: str, site: int, k: int, e: int) -> ReductionStep:
+        after = Walk(g, w.start, steps[:k] + steps[e:], w.symmetric)
+        return ReductionStep(XI2, k, w, after) if k else ReductionStep(rule, site, w, after)
+
+    for k in range(depth, n):
+        x = nodes[k]
+        if x == w.end:
+            yield reduct(XI1, 0, k, n)
+            return
+        e = k
+        while e < last[x]:
+            e = nodes.index(x, e + 1)
+            yield reduct(XI3, e - k, k, e)
+        if nodes[k + 1] == x:
+            return
 
 
 def applicable_reductions(w: Walk) -> list[ReductionStep]:
@@ -108,120 +137,45 @@ def applicable_reductions(w: Walk) -> list[ReductionStep]:
     every reduct of its rest lifted under the leading edge when that edge
     has distinct endpoints.
     """
-    out: list[ReductionStep] = []
-    c = classify(w)
-    if c.non_trivial_loop:
-        out.append(ReductionStep(XI1, 0, w, trivial(w.graph, w.start, w.symmetric)))
-    if c.non_trivial and not c.loop:
-        for s in range(1, w.length):
-            if w.node_at(s) == w.start:
-                out.append(ReductionStep(XI3, s, w, suffix_from(w, s)))
-        first = w.steps[0]
-        if w.start != w.node_at(1):
-            for sub in applicable_reductions(suffix_from(w, 1)):
-                out.append(_lift(first, sub))
-    return out
+    return list(_reductions(w))
 
 
 def verify_step(step: ReductionStep) -> None:
-    """Re-derive ``step`` from its rule's side conditions; raises on failure."""
-    w, v = step.before, step.after
-    if (w.start, w.end) != (v.start, v.end):
-        raise ValueError("reduction step changes endpoints")
-    if step.rule == XI1:
-        if not classify(w).non_trivial_loop or v.length != 0:
-            raise ValueError("xi1 requires a nontrivial loop collapsing to its endpoint")
-        return
-    if step.rule == XI3:
-        s = step.site
-        if not (1 <= s <= w.length - 1):
-            raise ValueError("xi3 site out of range")
-        if w.node_at(s) != w.start:
-            raise ValueError("xi3 removed prefix is not a loop")
-        if classify(w).loop:
-            raise ValueError("xi3 does not apply to loops")
-        if v.steps != w.steps[s:]:
-            raise ValueError("xi3 result is not the tail after the removed loop")
-        return
-    if step.rule == XI2:
-        s = step.site
-        if s < 1 or w.length <= s or v.length < s:
-            raise ValueError("xi2 site out of range")
-        if w.steps[:s] != v.steps[:s]:
-            raise ValueError("xi2 must preserve the leading edges at its site")
-        inner_before, inner_after = w, v
-        for _ in range(s):
-            if classify(inner_before).loop:
-                raise ValueError("xi2 does not reduce under a loop")
-            if inner_before.start == inner_before.node_at(1):
-                raise ValueError("xi2 leading edge must have distinct endpoints")
-            inner_before = suffix_from(inner_before, 1)
-            inner_after = suffix_from(inner_after, 1)
-        # the lifted chain bottoms out in a non-lifting rule
-        if classify(inner_before).non_trivial_loop and inner_after.length == 0:
+    """Check that ``step`` is a one-step reduct of its walk; raises ValueError if not.
+
+    The step must equal a reduct derived at its own depth. The derivation
+    starts at depth 0, so the lift conditions of every shallower depth hold.
+    """
+    for r in _reductions(step.before):
+        if r.depth > step.depth:
+            break
+        if r == step:
             return
-        for t in range(1, inner_before.length):
-            if (
-                inner_before.node_at(t) == inner_before.start
-                and not classify(inner_before).loop
-                and inner_after.steps == inner_before.steps[t:]
-            ):
-                return
-        raise ValueError("xi2 inner step is not a valid collapse or loop deletion")
-    raise ValueError(f"unknown rule {step.rule!r}")
+    raise ValueError(f"{step.rule} at site {step.site} is not a one-step reduct of its walk")
 
 
 def is_normal(w: Walk) -> bool:
     """Whether ``w`` is quasi-simple and admits no reduction step."""
-    return is_quasi_simple(w) and not applicable_reductions(w)
+    return is_quasi_simple(w) and progress(w) is None
 
 
 def normalize(w: Walk) -> tuple[Walk, ReductionTrace]:
     """Reduce ``w`` to a normal form, returning it with a replayable trace.
 
-    Deterministic strategy: trivial and one-edge walks are handled directly;
-    otherwise case on whether the leading edge closes on the start, then
-    split the rest at the first return to the start, recursing on strictly
-    shorter walks. Any nontrivial loop collapses in a single step.
+    Deterministic strategy: every step takes the first reduct, the one with
+    the fewest preserved leading edges and then the shortest leading loop.
+    A step keeps the endpoints and the preserved edges and only drops later
+    positions, so no reduct appears at a smaller depth and the next search
+    resumes at the step's depth. Iterative, so walks of any length normalize.
     """
-    nf, steps = _normalize(w)
-    return nf, ReductionTrace(w, tuple(steps))
-
-
-def _normalize(w: Walk) -> tuple[Walk, list[ReductionStep]]:
-    g = w.graph
-    x, z = w.start, w.end
-    n = w.length
-    if n == 0:
-        return w, []
-    point = trivial(g, x, w.symmetric)
-    if n == 1:
-        if x == z:
-            return point, [ReductionStep(XI1, 0, w, point)]
-        return w, []
-    y = w.node_at(1)
-    rest = suffix_from(w, 1)
-    if x == y:
-        # leading self-loop edge
-        if x == z:
-            return point, [ReductionStep(XI1, 0, w, point)]
-        nf, tail = _normalize(rest)
-        return nf, [ReductionStep(XI3, 1, w, rest)] + tail
-    found = split_at(rest, x)
-    if found is not None:
-        if x == z:
-            return point, [ReductionStep(XI1, 0, w, point)]
-        w1, w2 = found
-        nf, tail = _normalize(w2)
-        return nf, [ReductionStep(XI3, 1 + w1.length, w, w2)] + tail
-    nf_rest, tail = _normalize(rest)
-    if x == z:
-        return point, [ReductionStep(XI1, 0, w, point)]
-    first = w.steps[0]
-    return prepend(first, nf_rest), [_lift(first, s) for s in tail]
+    trace: list[ReductionStep] = []
+    at, depth = w, 0
+    while (step := next(_reductions(at, depth), None)) is not None:
+        trace.append(step)
+        at, depth = step.after, step.depth
+    return at, ReductionTrace(w, tuple(trace))
 
 
 def progress(w: Walk) -> ReductionStep | None:
     """The first step of the deterministic strategy, or None when ``w`` is normal."""
-    _, trace = normalize(w)
-    return trace.steps[0] if trace.steps else None
+    return next(_reductions(w), None)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import walkmaps
+from walkmaps import build_graph, compact, normalize, parse_walk
 from walkmaps.cli import (
     EXIT_BAD_JSON,
     EXIT_BAD_ROTATION,
@@ -247,3 +252,34 @@ def test_negative_budget_exits_64(name, argv, env, capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert report["result"] == {}
     assert any("must be non-negative" in d for d in report["diagnostics"])
+
+
+def test_normalize_subprocess_on_a_long_walk(tmp_path):
+    # a leading loop 0 -> 1 -> 0, a loop-free chain of 2500 edges, and a
+    # closing self-loop whose collapse is lifted under the whole chain
+    chain = 2500
+    edges = [[0, 1], [1, 0], [0, 2]] + [[i, i + 1] for i in range(2, chain + 1)]
+    edges.append([chain + 1, chain + 1])
+    (tmp_path / "chain.json").write_text(
+        json.dumps({"nodes": chain + 2, "edges": edges}), encoding="utf-8"
+    )
+    text = "0:" + ",".join(f"e{e}+" for e in range(len(edges)))
+    src = str(Path(walkmaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walkmaps.cli", "normalize", "chain.json", "--walk", text],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    w = parse_walk(build_graph(chain + 2, [tuple(e) for e in edges]), text)
+    nf, trace = normalize(w)
+    assert w.length >= 2000 and len(trace.steps) == 2
+    assert json.loads(proc.stdout)["result"] == {
+        "input": compact(w),
+        "normal_form": compact(nf),
+        "trace": [
+            {"rule": s.rule, "site": s.site, "before": compact(s.before), "after": compact(s.after)}
+            for s in trace.steps
+        ],
+    }

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 
 from walkmaps import (
     Dart,
+    ReductionStep,
+    ValidationError,
     Walk,
     applicable_reductions,
+    build_graph,
     classify,
     is_normal,
     is_quasi_simple,
@@ -209,9 +212,77 @@ def test_normalize_lands_in_the_exhaustive_closure():
                 assert nf.key() in forms, str(w)
 
 
-def test_verify_step_rejects_forged_steps():
-    from walkmaps import ReductionStep
+def test_normalize_takes_the_first_reduct_at_every_step():
+    for w in _fixture_walks(5):
+        _, trace = normalize(w)
+        for s in trace.steps:
+            assert s == applicable_reductions(s.before)[0]
 
+
+def _splices(w):
+    """Every walk left by deleting one contiguous block of ``w``'s steps."""
+    for a in range(w.length + 1):
+        for b in range(a, w.length + 1):
+            try:
+                yield Walk(w.graph, w.start, w.steps[:a] + w.steps[b:], w.symmetric)
+            except ValidationError:
+                pass
+
+
+def test_verify_step_agrees_with_the_shape_oracle():
+    # every rule deletes one contiguous block, so splices cover every reduct;
+    # any other candidate is rejected by both sides on its steps alone
+    for w in _fixture_walks(4):
+        for q in _splices(w):
+            for rule in ("xi1", "xi2", "xi3"):
+                for site in range(w.length + 1):
+                    step = ReductionStep(rule, site, w, q)
+                    try:
+                        check_step_shape(step)
+                        shaped = True
+                    except AssertionError:
+                        shaped = False
+                    try:
+                        verify_step(step)
+                        verified = True
+                    except ValueError:
+                        verified = False
+                    assert verified == shaped, (rule, site, str(w), str(q))
+
+
+def test_long_chain_ending_in_a_self_loop_reduces_without_recursion():
+    # 2999 chain edges, then a self-loop whose collapse lifts under all of them
+    g = build_graph(3000, [(i, i + 1) for i in range(2999)] + [(2999, 2999)])
+    w = Walk(g, 0, tuple(Dart(e) for e in range(3000)))
+    steps = applicable_reductions(w)
+    assert [(s.rule, s.site) for s in steps] == [("xi2", 2999)]
+    assert progress(w) == steps[0]
+    assert not is_normal(w)
+    nf, trace = normalize(w)
+    assert nf.steps == w.steps[:-1]
+    assert trace.steps == (steps[0],)
+    assert trace.replay() == nf
+
+
+def test_looping_prefix_before_a_long_chain_normalizes():
+    cluster = [(i, j) for i in range(4) for j in range(4) if i != j]
+    index = {e: i for i, e in enumerate(cluster)}
+    chain = 3000
+    nodes = [0] + list(range(4, 4 + chain))
+    # chain edges alternate direction, so the symmetric walk mixes e+ and e-
+    links = [(a, b) if k % 2 else (b, a) for k, (a, b) in enumerate(zip(nodes, nodes[1:]))]
+    g = build_graph(4 + chain, cluster + links)
+    prefix = [Dart(index[e]) for e in [(1, 2), (2, 3), (3, 1), (1, 0), (0, 2), (2, 0)]]
+    darts = prefix + [Dart(len(cluster) + k, k % 2 == 1) for k in range(chain)]
+    w = Walk(g, 1, tuple(darts), True)
+    nf, trace = normalize(w)
+    assert [(s.rule, s.site) for s in trace.steps] == [("xi3", 3), ("xi2", 1)]
+    assert nf.steps == (prefix[3],) + w.steps[len(prefix):]
+    assert is_normal(nf)
+    assert trace.replay() == nf
+
+
+def test_verify_step_rejects_forged_steps():
     g = pathloop_graph()
     w = pathloop_walk()  # 0 -> 1 -> 0 -> 2, not a loop
     point = trivial(g, 0)
@@ -228,11 +299,18 @@ def test_verify_step_rejects_forged_steps():
         )
     with pytest.raises(ValueError):
         verify_step(ReductionStep("xi9", 0, w, Walk(g, 1, (Dart(1), Dart(2)))))
+    loop = loop_walk()
+    with pytest.raises(ValueError):  # xi1 fires at site 0 only
+        verify_step(ReductionStep("xi1", 5, loop, trivial(loop.graph, 0)))
+    hazard = build_graph(4, [(0, 0), (0, 1), (1, 2), (2, 1), (1, 3)])
+    # 0 -(loop e0)-> 0 -> 1 -> 2 -> 1 -> 3: the loop 1 -> 2 -> 1 sits under a
+    # leading self-loop edge, so no xi2 may lift its deletion to depth 2
+    w = Walk(hazard, 0, tuple(Dart(e) for e in range(5)))
+    with pytest.raises(ValueError):
+        verify_step(ReductionStep("xi2", 2, w, Walk(hazard, 0, (Dart(0), Dart(1), Dart(4)))))
 
 
 def build_loop_then_edge():
-    from walkmaps import build_graph
-
     g = build_graph(2, [(0, 0), (0, 0), (0, 1)])
     # 0 -(loop e0)-> 0 -(loop e1)-> 0 -> 1
     return Walk(g, 0, (Dart(0), Dart(1), Dart(2)))
