@@ -138,7 +138,7 @@ def parse_map_document(text: str) -> MapDocument:
         raise SchemaError("field 'rotation' must be an object keyed by node id")
     rotation = {}
     for key, listed in rotation_raw.items():
-        if not key.isdigit():
+        if not key.isdecimal():
             raise SchemaError(f"rotation key {key!r} is not a node id")
         node = int(key)
         if not isinstance(listed, list):
@@ -438,7 +438,7 @@ def _write_certificates(path: str, certs) -> None:
         for c in certs
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def _check_cli_node(g: Graph, x: int, flag: str) -> None:

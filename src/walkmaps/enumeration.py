@@ -1,77 +1,60 @@
 """Exhaustive walk enumeration and counting.
 
 Quasi-simple walks between two nodes form a finite set: no such walk is
-longer than the node count, and the fixed-length buckets satisfy a
-prepend-an-edge recurrence. Enumeration follows that recurrence directly,
-so the output is complete and duplicate-free by construction. A separate
+longer than the node count. Enumeration is one depth-first search from the
+start over the graph's dart lists, never stepping on from a node already on
+the current path, so the output is complete and duplicate-free by
+construction and a ``Walk`` is built only for each result. A separate
 counter handles the unrestricted (infinite in total, finite per length)
 walk population.
 
-Order is deterministic everywhere: buckets by ascending length, walks
-within a bucket lexicographic by (edge id, orientation) sequence.
+Order is deterministic everywhere: ascending length, walks of one length
+lexicographic by (edge id, orientation) sequence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .graph import Graph, incident_darts, out_darts
-from .walk import Walk, occurs, prepend, trivial
+from .graph import Dart, Graph, _check_node, incident_darts, out_darts
+from .walk import Walk
 
 
-def _step_darts(g: Graph, x: int, symmetric: bool):
+def _step_darts(g: Graph, x: int, symmetric: bool) -> tuple[Dart, ...]:
     return incident_darts(g, x) if symmetric else out_darts(g, x)
-
-
-def _qs_bucket_fn(
-    g: Graph, z: int, symmetric: bool
-) -> Callable[[int, int], list[Walk]]:
-    """Memoized fixed-length buckets of quasi-simple walks ending at ``z``.
-
-    bucket(m, x) lists the quasi-simple walks of length m from x to z. The
-    step case prepends each dart leaving x to each shorter walk that does
-    not already visit x; the not-visits filter is applied here, at the use
-    site, because it depends on the prepending dart's tail.
-    """
-    cache: dict[tuple[int, int], list[Walk]] = {}
-
-    def bucket(m: int, x: int) -> list[Walk]:
-        key = (m, x)
-        if key in cache:
-            return cache[key]
-        if m == 0:
-            result = [trivial(g, x, symmetric)] if x == z else []
-        else:
-            result = []
-            for d in sorted(_step_darts(g, x, symmetric), key=lambda d: d.sort_key):
-                for w in bucket(m - 1, g.head(d)):
-                    if occurs(x, w) == 0:
-                        result.append(prepend(d, w))
-        cache[key] = result
-        return result
-
-    return bucket
 
 
 def enumerate_qswalks_of_length(
     g: Graph, m: int, x: int, y: int, symmetric: bool = False
 ) -> list[Walk]:
     """Exactly the quasi-simple walks of length ``m`` from ``x`` to ``y``."""
-    return list(_qs_bucket_fn(g, y, symmetric)(m, x))
+    return [w for w in enumerate_all_qswalks(g, x, y, symmetric) if w.length == m]
 
 
 def enumerate_all_qswalks(g: Graph, x: int, y: int, symmetric: bool = False) -> list[Walk]:
-    """Every quasi-simple walk from ``x`` to ``y``.
+    """Every quasi-simple walk from ``x`` to ``y``, shortest first.
 
-    The union of the fixed-length buckets for lengths 0 through node_count;
-    longer quasi-simple walks cannot exist, since a walk of length m visits
-    m distinct non-final nodes.
+    The search records a result whenever it stands at ``y``, before asking
+    whether the node is already on the path, so a walk closing a loop at
+    ``y`` counts; it steps on only from nodes not yet on the path. Longer
+    walks than node_count cannot arise, since a walk of length m visits m
+    distinct non-final nodes. Darts are tried in (edge, orientation) order,
+    so each length's walks come out lexicographic.
     """
-    bucket = _qs_bucket_fn(g, y, symmetric)
-    out: list[Walk] = []
-    for m in range(g.node_count + 1):
-        out.extend(bucket(m, x))
-    return out
+    _check_node(g, x)
+    _check_node(g, y)
+    found: list[list[Walk]] = [[] for _ in range(g.node_count + 1)]
+    # (node, steps taken to reach it, nodes the walk has stepped on from)
+    stack: list[tuple[int, tuple[Dart, ...], frozenset[int]]] = [(x, (), frozenset())]
+    while stack:
+        at, steps, seen = stack.pop()
+        if at == y:
+            found[len(steps)].append(Walk(g, x, steps, symmetric))
+        if at not in seen:
+            seen |= {at}
+            for d in reversed(_step_darts(g, at, symmetric)):
+                stack.append((g.head(d), steps + (d,), seen))
+    return [w for bucket in found for w in bucket]
 
 
 def count_walks_of_length(g: Graph, n: int, x: int, y: int, symmetric: bool = False) -> int:
@@ -83,14 +66,15 @@ def count_walks_of_length(g: Graph, n: int, x: int, y: int, symmetric: bool = Fa
     """
     if n < 0:
         raise ValueError("walk length must be non-negative")
+    _check_node(g, x)
+    _check_node(g, y)
     # counts[v] = number of walks of the current length from v to y
     counts = [1 if v == y else 0 for v in range(g.node_count)]
     for _ in range(n):
-        nxt = [0] * g.node_count
-        for v in range(g.node_count):
-            for d in _step_darts(g, v, symmetric):
-                nxt[v] += counts[g.head(d)]
-        counts = nxt
+        counts = [
+            sum(counts[g.head(d)] for d in _step_darts(g, v, symmetric))
+            for v in range(g.node_count)
+        ]
     return counts[x]
 
 
@@ -98,13 +82,16 @@ def iter_walks_of_length(
     g: Graph, n: int, x: int, y: int | None = None, symmetric: bool = False
 ) -> Iterator[Walk]:
     """All walks of length exactly ``n`` from ``x`` (to ``y`` when given), lexicographic."""
+    _check_node(g, x)
+    if y is not None:
+        _check_node(g, y)
 
     def rec(prefix_darts: tuple, at: int, remaining: int) -> Iterator[Walk]:
         if remaining == 0:
             if y is None or at == y:
                 yield Walk(g, x, prefix_darts, symmetric)
             return
-        for d in sorted(_step_darts(g, at, symmetric), key=lambda d: d.sort_key):
+        for d in _step_darts(g, at, symmetric):
             yield from rec(prefix_darts + (d,), g.head(d), remaining - 1)
 
     yield from rec((), x, n)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -59,10 +59,13 @@ class Graph:
     """Finite directed multigraph with dense node and edge identifiers.
 
     Immutable after construction; parallel edges and self-loops are allowed.
+    The per-node out-dart and incident-dart lists are built on first use and
+    take no part in comparison, so commands that only parse never pay for them.
     """
 
     node_count: int
     edges: tuple[EdgeRecord, ...]
+    _dart_lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:
@@ -75,6 +78,20 @@ class Graph:
     def head(self, d: Dart) -> int:
         e = self.edges[d.edge]
         return e.target if d.forward else e.source
+
+    def _lists(self) -> tuple[tuple[tuple[Dart, ...], ...], tuple[tuple[Dart, ...], ...]]:
+        """(out, incident) dart lists per node, each in (edge, orientation) order."""
+        if self._dart_lists is None:
+            out: list[list[Dart]] = [[] for _ in range(self.node_count)]
+            inc: list[list[Dart]] = [[] for _ in range(self.node_count)]
+            for e in self.edges:
+                d = Dart(e.id, True)
+                out[e.source].append(d)
+                inc[e.source].append(d)
+                inc[e.target].append(Dart(e.id, False))
+            lists = (tuple(map(tuple, out)), tuple(map(tuple, inc)))
+            object.__setattr__(self, "_dart_lists", lists)
+        return self._dart_lists
 
 
 def build_graph(node_count: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -110,7 +127,7 @@ def _check_node(g: Graph, x: int) -> None:
 def out_darts(g: Graph, x: int) -> tuple[Dart, ...]:
     """Forward darts leaving ``x``: the steps available to directed walks."""
     _check_node(g, x)
-    return tuple(Dart(e.id, True) for e in g.edges if e.source == x)
+    return g._lists()[0][x]
 
 
 def incident_darts(g: Graph, x: int) -> tuple[Dart, ...]:
@@ -119,13 +136,7 @@ def incident_darts(g: Graph, x: int) -> tuple[Dart, ...]:
     A self-loop at ``x`` contributes both of its darts.
     """
     _check_node(g, x)
-    out: list[Dart] = []
-    for e in g.edges:
-        if e.source == x:
-            out.append(Dart(e.id, True))
-        if e.target == x:
-            out.append(Dart(e.id, False))
-    return tuple(sorted(out, key=lambda d: d.sort_key))
+    return g._lists()[1][x]
 
 
 def is_connected(g: Graph) -> bool:

@@ -217,7 +217,7 @@ def parse_walk(g: Graph, text: str, symmetric: bool = True) -> Walk:
     """
     body = text.strip()
     head, sep, rest = body.partition(":")
-    if not head.isdigit():
+    if not head.isdecimal():
         raise WalkSpecError(text, 0, "expected a start node number")
     start = int(head)
     darts: list[Dart] = []

@@ -43,6 +43,8 @@ GOLDEN_CASES = [
     ("digon_walks", ["walks", "digon.json", "--from", "0", "--to", "1", "--quasi-only"], EXIT_OK),
     ("pathloop_walks", ["walks", "pathloop.json", "--from", "0", "--to", "2"], EXIT_OK),
     ("triangle_walks_all", ["walks", "triangle.json", "--from", "0", "--to", "0", "--max-len", "4"], EXIT_OK),
+    ("dense3x2_walks_quasi", ["walks", "dense3x2.json", "--from", "0", "--to", "1", "--quasi-only"], EXIT_OK),
+    ("dense3x2_walks_len3", ["walks", "dense3x2.json", "--from", "0", "--to", "0", "--max-len", "3"], EXIT_OK),
     ("pathloop_normalize", ["normalize", "pathloop.json", "--walk", "0:e0+,e1+,e2+"], EXIT_OK),
     ("loop1_normalize", ["normalize", "loop1.json", "--walk", "0:e0+"], EXIT_OK),
     ("digon_homotopic", ["homotopic", "digon.json", "--w1", "0:e0+", "--w2", "0:e1+"], EXIT_OK),
@@ -112,6 +114,17 @@ def test_schema_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert any("edge 0" in d for d in report["diagnostics"])
 
 
+def test_non_decimal_rotation_key_exits_3(tmp_path, capsys, monkeypatch):
+    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+    doc = tmp_path / "key.json"
+    doc.write_text(json.dumps({"nodes": 1, "edges": [], "rotation": {"\u00b2": []}}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run(["validate", "key.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_BAD_SCHEMA
+    assert report["diagnostics"] == ["rotation key '\u00b2' is not a node id"]
+
+
 def test_foreign_rotation_dart_exits_4(tmp_path, capsys, monkeypatch):
     doc = tmp_path / "rot.json"
     doc.write_text(
@@ -143,9 +156,11 @@ def test_seed_is_rejected(capsys):
 
 
 def test_bad_walk_spec_exits_64_with_caret(capsys, monkeypatch):
-    report, code = _run(["normalize", "pathloop.json", "--walk", "0:zz"], capsys, monkeypatch)
-    assert code == EXIT_USAGE
-    assert any(d.strip() == "^" or d.endswith("^") for d in report["diagnostics"])
+    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+    for spec in ("0:zz", "\u00b2:"):
+        report, code = _run(["normalize", "pathloop.json", "--walk", spec], capsys, monkeypatch)
+        assert code == EXIT_USAGE
+        assert any(d.strip() == "^" or d.endswith("^") for d in report["diagnostics"])
 
 
 def test_pretty_flag_does_not_change_exit_code_or_payload(capsys, monkeypatch):

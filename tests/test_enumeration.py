@@ -9,10 +9,13 @@ from hypothesis import given, settings
 
 from walkmaps import (
     Dart,
+    ValidationError,
+    build_graph,
     count_walks_of_length,
     enumerate_all_qswalks,
     enumerate_qswalks_of_length,
     is_quasi_simple,
+    iter_walks_of_length,
     iter_walks_up_to,
     occurs,
     trivial,
@@ -61,12 +64,16 @@ def _dfs_quasi_keys(g, x, y, symmetric=False):
 @given(graphs())
 @settings(max_examples=40, deadline=None)
 def test_matches_dfs_oracle(g):
-    for x in range(g.node_count):
-        for y in range(g.node_count):
-            ours = enumerate_all_qswalks(g, x, y)
-            keys = [w.key() for w in ours]
-            assert len(keys) == len(set(keys)), "duplicate walks emitted"
-            assert set(keys) == _dfs_quasi_keys(g, x, y)
+    # the oracle's set in the documented order: length, then lexicographic
+    for symmetric in (False, True):
+        for x in range(g.node_count):
+            for y in range(g.node_count):
+                keys = [w.key() for w in enumerate_all_qswalks(g, x, y, symmetric)]
+                expected = sorted(
+                    _dfs_quasi_keys(g, x, y, symmetric),
+                    key=lambda k: (len(k[1]), [d.sort_key for d in k[1]]),
+                )
+                assert keys == expected
 
 
 def test_matches_dfs_oracle_symmetric():
@@ -160,3 +167,28 @@ def test_iter_walks_up_to_matches_brute():
     brute = [w.key() for w in brute_walks(g, 4, 0)]
     assert sorted(ours) == sorted(brute)
     assert len(ours) == len(set(ours))
+
+
+BAD_ENDPOINT_CALLS = {
+    "enumerate_all_qswalks": lambda g, x, y: enumerate_all_qswalks(g, x, y),
+    "enumerate_qswalks_of_length": lambda g, x, y: enumerate_qswalks_of_length(g, 1, x, y),
+    "count_walks_of_length": lambda g, x, y: count_walks_of_length(g, 2, x, y),
+    "iter_walks_of_length": lambda g, x, y: list(iter_walks_of_length(g, 2, x, y)),
+    "iter_walks_up_to": lambda g, x, y: list(iter_walks_up_to(g, 2, x, y)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_ENDPOINT_CALLS))
+@pytest.mark.parametrize("x,y", [(0, -1), (-1, 0), (0, 7), (3, 0)])
+def test_out_of_range_endpoints_raise(call, x, y):
+    # on the 3-cycle, node -1 would index node 2 from the end
+    with pytest.raises(ValidationError):
+        BAD_ENDPOINT_CALLS[call](triangle_graph(), x, y)
+
+
+def test_long_path_enumerates_without_recursion():
+    n = 1500
+    g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    path = tuple(Dart(i) for i in range(n - 1))
+    for symmetric in (False, True):
+        assert [w.steps for w in enumerate_all_qswalks(g, 0, n - 1, symmetric)] == [path]

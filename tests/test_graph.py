@@ -12,6 +12,7 @@ from walkmaps import (
     build_graph,
     incident_darts,
     is_connected,
+    out_darts,
     parse_dart,
     symmetrise,
     validate_cyclic_order,
@@ -69,8 +70,26 @@ def test_incident_darts_examples():
 
 
 def test_incident_darts_rejects_bad_node():
-    with pytest.raises(ValidationError):
-        incident_darts(loop1_graph(), 3)
+    for darts_at in (incident_darts, out_darts):
+        for x in (3, 1, -1):
+            with pytest.raises(ValidationError):
+                darts_at(loop1_graph(), x)
+
+
+@given(graphs())
+def test_dart_lists_match_an_edge_scan(g):
+    fresh = build_graph(g.node_count, [(e.source, e.target) for e in g.edges])
+    for x in range(g.node_count):
+        assert out_darts(g, x) == tuple(Dart(e.id) for e in g.edges if e.source == x)
+        scan = []
+        for e in g.edges:
+            if e.source == x:
+                scan.append(Dart(e.id, True))
+            if e.target == x:
+                scan.append(Dart(e.id, False))
+        assert incident_darts(g, x) == tuple(scan)
+    # the lists, once built, take no part in equality or hashing
+    assert g == fresh and hash(g) == hash(fresh)
 
 
 @given(graphs())
