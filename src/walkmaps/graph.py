@@ -146,15 +146,11 @@ def is_connected(g: Graph) -> bool:
     """
     if g.node_count <= 1:
         return g.node_count == 1
-    adjacency: list[list[int]] = [[] for _ in range(g.node_count)]
-    for e in g.edges:
-        adjacency[e.source].append(e.target)
-        adjacency[e.target].append(e.source)
     seen = {0}
     stack = [0]
     while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
+        for d in incident_darts(g, stack.pop()):
+            y = g.head(d)
             if y not in seen:
                 seen.add(y)
                 stack.append(y)

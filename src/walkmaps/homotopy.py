@@ -23,7 +23,9 @@ loop in trace order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from . import rewrite
@@ -34,6 +36,8 @@ from .walk import Walk, compose, prepend, trivial
 
 CCW_TO_CW = "ccw_to_cw"
 CW_TO_CCW = "cw_to_ccw"
+
+_end = attrgetter("end")
 
 SPHERICAL = "spherical"
 NOT_SPHERICAL = "not_spherical"
@@ -76,7 +80,7 @@ class HomotopyMove:
 
     def inverted(self) -> HomotopyMove:
         other = CW_TO_CCW if self.direction == CCW_TO_CW else CCW_TO_CW
-        return replace(self, direction=other)
+        return HomotopyMove(self.face, self.a, self.b, self.prefix_len, other)
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,12 +495,11 @@ def check_spherical_quasi(
     engine = _MoveEngine(m)
     pairs = 0
     for x in range(m.graph.node_count):
-        for y in range(m.graph.node_count):
-            walks = enumerate_all_qswalks(m.graph, x, y, symmetric=True)
-            if not walks:
-                continue
-            base = walks[0]
-            for other in walks[1:]:
+        # one search per start node; the stable sort keeps each end's walks in order
+        walks = sorted(enumerate_all_qswalks(m.graph, x, None, symmetric=True), key=_end)
+        for _, group in groupby(walks, key=_end):
+            base, *others = group
+            for other in others:
                 pairs += 1
                 cert, _ = _bfs(engine, base, other, budget)
                 if cert is None:
@@ -525,13 +528,14 @@ def check_spherical_bounded(
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     budget = budget or default_budget(m)
     if budget.max_len < max_len:
-        budget = replace(budget, max_len=max_len)
+        budget = SearchBudget(max_len, budget.max_states)
     certifier = _Certifier(m, budget)
     pairs = 0
     for x in range(m.graph.node_count):
-        for y in range(m.graph.node_count):
+        walks = sorted(iter_walks_up_to(m.graph, max_len, x, None, symmetric=True), key=_end)
+        for _, group in groupby(walks, key=_end):
             normal_forms: dict[tuple, Walk] = {}
-            for w in iter_walks_up_to(m.graph, max_len, x, y, symmetric=True):
+            for w in group:
                 pairs += 1
                 try:
                     nf, _, moves = certifier.normal_form(w)

@@ -3,14 +3,30 @@
 These re-derive expected answers the slow, obvious way: plain DFS over step
 choices for walk enumeration, per-node position counting for membership,
 and a declarative reading of the three reduction rules for one-step
-reducts. Tests compare the library's fast paths against these.
+reducts, and one enumeration and one search per node pair for the
+sphericity checkers. Tests compare the library's fast paths against these.
 """
 
 from __future__ import annotations
 
 import random
 
-from walkmaps import Dart, Graph, Walk, incident_darts, out_darts
+from walkmaps import (
+    Dart,
+    Graph,
+    Inconclusive,
+    SearchBudget,
+    Walk,
+    enumerate_all_qswalks,
+    euler_characteristic,
+    incident_darts,
+    is_connected,
+    iter_walks_up_to,
+    normalize_homotopy,
+    out_darts,
+    prove_homotopic,
+)
+from walkmaps.homotopy import default_budget
 
 
 def brute_walks(
@@ -156,3 +172,54 @@ def random_walk(
         steps.append(d)
         at = g.head(d)
     return Walk(g, x, tuple(steps), symmetric)
+
+
+def _reference_failure(m, pair: tuple[Walk, Walk], pairs: int) -> tuple:
+    # the Euler characteristic alone turns an unproven pair into a disproof
+    negative = is_connected(m.graph) and euler_characteristic(m) != 2
+    return ("not_spherical" if negative else "inconclusive", pair, pairs)
+
+
+def reference_check_quasi(m, budget=None, collector=None) -> tuple:
+    """``check_spherical_quasi`` as (status, witness, pairs_checked), one pair at a time."""
+    budget = budget or default_budget(m)
+    pairs = 0
+    for x in range(m.graph.node_count):
+        for y in range(m.graph.node_count):
+            walks = enumerate_all_qswalks(m.graph, x, y, symmetric=True)
+            for other in walks[1:]:
+                pairs += 1
+                cert = prove_homotopic(m, walks[0], other, budget)
+                if cert is None:
+                    return _reference_failure(m, (walks[0], other), pairs)
+                if collector is not None:
+                    collector.append(cert)
+    return ("spherical", None, pairs)
+
+
+def reference_check_bounded(m, max_len: int, budget=None, collector=None) -> tuple:
+    """``check_spherical_bounded`` as (status, witness, pairs_checked), one pair at a time."""
+    budget = budget or default_budget(m)
+    if budget.max_len < max_len:
+        budget = SearchBudget(max_len, budget.max_states)
+    pairs = 0
+    for x in range(m.graph.node_count):
+        for y in range(m.graph.node_count):
+            normal_forms: dict[tuple, Walk] = {}
+            for w in iter_walks_up_to(m.graph, max_len, x, y, symmetric=True):
+                pairs += 1
+                result = normalize_homotopy(m, w, budget)
+                if isinstance(result, Inconclusive):
+                    return _reference_failure(m, result.subgoal, pairs)
+                if collector is not None and result.certificate.moves:
+                    collector.append(result.certificate)
+                normal_forms.setdefault(result.walk.key(), result.walk)
+            reps = list(normal_forms.values())
+            for other in reps[1:]:
+                pairs += 1
+                cert = prove_homotopic(m, reps[0], other, budget)
+                if cert is None:
+                    return _reference_failure(m, (reps[0], other), pairs)
+                if collector is not None:
+                    collector.append(cert)
+    return ("spherical", None, pairs)

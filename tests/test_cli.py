@@ -89,6 +89,14 @@ def test_reports_are_stable_across_runs(name, argv, expected_code, capsys, monke
     assert _stripped(first) == _stripped(second)
 
 
+def test_walks_on_a_long_cycle_exit_ok(capsys, monkeypatch):
+    # the directed 3-cycle has one walk from 0 to 0 per multiple of 3 steps
+    argv = ["walks", "triangle.json", "--from", "0", "--to", "0", "--max-len", "1200"]
+    report, code = _run(argv, capsys, monkeypatch)
+    assert code == EXIT_OK
+    assert report["result"]["count"] == 401
+
+
 def test_report_has_contract_keys(capsys, monkeypatch):
     report, _ = _run(["euler", "loop1.json"], capsys, monkeypatch)
     assert set(report) == {"command", "result", "diagnostics", "wall_time_ms"}

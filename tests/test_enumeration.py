@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkmaps import (
     Dart,
@@ -144,6 +145,14 @@ def test_count_walks_rejects_negative_length():
         count_walks_of_length(triangle_graph(), -1, 0, 0)
 
 
+@pytest.mark.parametrize("gen", [iter_walks_of_length, iter_walks_up_to])
+def test_walk_generators_reject_negative_length(gen):
+    # like a bad endpoint, a negative length raises on first use
+    walks = gen(triangle_graph(), -1, 0)
+    with pytest.raises(ValueError):
+        next(walks)
+
+
 @given(graphs())
 @settings(max_examples=30, deadline=None)
 def test_count_matches_dfs_and_bounds_quasi(g):
@@ -159,6 +168,41 @@ def test_count_matches_dfs_and_bounds_quasi(g):
             assert count_walks_of_length(g, 0, x, y) == len(
                 enumerate_qswalks_of_length(g, 0, x, y)
             )
+
+
+def _brute_order(w):
+    return (w.length, [d.sort_key for d in w.steps])
+
+
+@given(graphs(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_walk_generators_match_brute_in_order(g, max_len):
+    for symmetric in (False, True):
+        for x in range(g.node_count):
+            for y in [None, *range(g.node_count)]:
+                expected = sorted(brute_walks(g, max_len, x, y, symmetric), key=_brute_order)
+                assert list(iter_walks_up_to(g, max_len, x, y, symmetric)) == expected
+                for n in range(max_len + 1):
+                    ours = list(iter_walks_of_length(g, n, x, y, symmetric))
+                    assert ours == [w for w in expected if w.length == n]
+
+
+@given(graphs())
+@settings(max_examples=30, deadline=None)
+def test_all_qswalks_to_any_node(g):
+    # with no target, the walks to every node, in the same order
+    for symmetric in (False, True):
+        for x in range(g.node_count):
+            per_end = [w for y in range(g.node_count) for w in enumerate_all_qswalks(g, x, y, symmetric)]
+            assert enumerate_all_qswalks(g, x, None, symmetric) == sorted(per_end, key=_brute_order)
+
+
+def test_long_cycle_walks_without_recursion():
+    # the directed 3-cycle closes a loop at 0 every third step
+    g = triangle_graph()
+    assert len(list(iter_walks_up_to(g, 1500, 0, 0))) == 501
+    [w] = iter_walks_of_length(g, 1500, 0, 0)
+    assert w.steps == (Dart(0), Dart(1), Dart(2)) * 500
 
 
 def test_iter_walks_up_to_matches_brute():

@@ -43,6 +43,7 @@ from .fixtures import (
     torus2_map,
     triangle_map,
 )
+from .oracles import reference_check_bounded, reference_check_quasi
 
 
 def digon_edge_walk(edge: int):
@@ -469,3 +470,51 @@ def test_certificates_replay_across_fixtures():
                 assert cert is not None, (name, str(w1), str(w2))
                 assert cert.source == w1 and cert.target == w2
                 replay_certificate(m, cert)
+
+
+def _reference_maps() -> list:
+    # the fixtures plus seeded random connected maps of genus 0, 1 and 2
+    import random
+
+    from walkmaps import euler_characteristic, is_connected
+
+    maps = list(all_fixture_maps().values())
+    rng = random.Random(20261018)
+    while len(maps) < 25:
+        n = rng.randint(1, 4)
+        g = build_graph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 5))])
+        if not is_connected(g):
+            continue
+        rotation = {}
+        for x in range(n):
+            darts = list(incident_darts(g, x))
+            rng.shuffle(darts)
+            rotation[x] = darts
+        m = build_rotation_map(g, rotation)
+        if euler_characteristic(m) in (2, 0, -2):
+            maps.append(m)
+    return maps
+
+
+def _keyed(status, witness, pairs) -> tuple:
+    return (status, witness and tuple(w.key() for w in witness), pairs)
+
+
+def test_checkers_match_the_per_pair_reference():
+    # one enumeration per start node, split by end node, must see the pairs,
+    # witnesses and certificates of the plain loop over every node pair
+    statuses = set()
+    for m in _reference_maps():
+        budget = SearchBudget(max_len=default_budget(m).max_len, max_states=2000)
+        ours, theirs = [], []
+        v = check_spherical_quasi(m, budget, ours)
+        expected = reference_check_quasi(m, budget, theirs)
+        assert _keyed(v.status, v.witness, v.pairs_checked) == _keyed(*expected)
+        assert ours == theirs
+        ours, theirs = [], []
+        v = check_spherical_bounded(m, 3, budget, ours)
+        expected = reference_check_bounded(m, 3, budget, theirs)
+        assert _keyed(v.status, v.witness, v.pairs_checked) == _keyed(*expected)
+        assert ours == theirs
+        statuses.add(v.status)
+    assert statuses == {"spherical", "not_spherical"}
