@@ -14,10 +14,10 @@ disproof. The independent negative signal is the Euler characteristic,
 which for a connected map is 2 exactly on sphere embeddings.
 
 A walk is certified homotopic to its normal form from the trace of
-``rewrite.normalize``: each trace step deletes one loop, and the moves
-collapsing that loop are searched for once per quasi-simple loop. When a
-collapse cannot be certified, ``Inconclusive`` names the leftmost blocked
-loop in trace order.
+``rewrite.normalize``: each trace step deletes one loop, erased cycle by
+cycle as each closes (chronological loop erasure), one search per distinct
+simple cycle. ``Inconclusive`` names the first cycle, in erasure order,
+that cannot be collapsed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import rewrite
 from .embedding import Face, RotationMap, _ccw_steps, _cw_steps, euler_characteristic
 from .enumeration import enumerate_all_qswalks, iter_walks_up_to
 from .graph import Dart, is_connected
-from .walk import Walk, compose, prepend, trivial
+from .walk import Walk, compose, trivial
 
 CCW_TO_CW = "ccw_to_cw"
 CW_TO_CCW = "cw_to_ccw"
@@ -120,6 +120,8 @@ def apply_hcollapse(m: RotationMap, w: Walk, move: HomotopyMove) -> Walk:
         raise ValueError("walk does not live on the map's graph")
     if not w.symmetric:
         raise ValueError("homotopy moves act on walks in the symmetrised graph")
+    if move.direction not in (CCW_TO_CW, CW_TO_CCW):
+        raise ValueError(f"unknown move direction {move.direction!r}")
     if not (0 <= move.face < len(m.faces)):
         raise ValueError(f"no face {move.face}")
     face = m.faces[move.face]
@@ -140,6 +142,7 @@ def apply_hcollapse(m: RotationMap, w: Walk, move: HomotopyMove) -> Walk:
 
 def replay_certificate(m: RotationMap, cert: HomotopyCertificate) -> Walk:
     """Apply every move from the source; checks the result equals the target."""
+    _check_pair(m, cert.source, cert.target)
     at = cert.source
     for mv in cert.moves:
         at = apply_hcollapse(m, at, mv)
@@ -350,10 +353,10 @@ class Inconclusive:
     """A normalization blocked on an unproven collapse: the sub-goal pair.
 
     The certificate is built from the ``rewrite.normalize`` trace, and the
-    sub-goal is the leftmost blocked loop in trace order: a quasi-simple
-    loop paired with the trivial walk at its basepoint. ``exhausted``
-    distinguishes a fully explored bounded search (the goal genuinely has
-    no certificate within the length cap) from a state-budget cutoff.
+    sub-goal is the first cycle, in erasure order, that cannot be collapsed:
+    a quasi-simple loop paired with the trivial walk at its basepoint.
+    ``exhausted`` tells a fully explored bounded search (the goal has no
+    certificate within the length cap) from a state-budget cutoff.
     """
 
     subgoal: tuple[Walk, Walk]
@@ -372,18 +375,17 @@ class _Blocked(Exception):
 class _Certifier:
     """Moves from walks to their ``rewrite.normalize`` normal forms on one map.
 
-    Each trace step deletes one loop. A loop collapses piece by piece, cut
-    at each return to its basepoint: the inside of a piece is brought to
-    its normal form first, which leaves a quasi-simple loop for one search.
-    Searches and loop collapses are memoized per loop; an uncertified
-    search raises _Blocked, so the first blocked loop in trace order wins.
+    Each trace step deletes one loop. One pass over its darts keeps the
+    loop-erased path; a dart back onto the path closes a simple cycle, which
+    one search collapses at its offset before the path is cut back.
+    Searches are memoized per cycle; an uncertified search raises _Blocked,
+    so the first cycle in erasure order that cannot be collapsed wins.
     """
 
     def __init__(self, m: RotationMap, budget: SearchBudget):
         self.budget = budget
         self.engine = _MoveEngine(m)
         self._searches: dict[tuple, tuple[Optional[HomotopyCertificate], bool]] = {}
-        self._collapses: dict[tuple, tuple[HomotopyMove, ...]] = {}
 
     def normal_form(self, w: Walk) -> tuple[Walk, rewrite.ReductionTrace, tuple[HomotopyMove, ...]]:
         """``rewrite.normalize(w)`` plus the moves deforming ``w`` into its normal form."""
@@ -395,24 +397,22 @@ class _Certifier:
             moves.extend(_shifted(self._collapse(s.before, at, end), at))
         return nf, trace, tuple(moves)
 
-    def _collapse(self, w: Walk, at: int, end: int) -> tuple[HomotopyMove, ...]:
-        """Moves collapsing the loop ``w.steps[at:end]`` to its basepoint."""
-        x = w.node_at(at)
-        key = (x, _codes(w.steps[at:end]))
-        if key not in self._collapses:
-            moves: list[HomotopyMove] = []
-            piece = at
-            while piece < end:
-                cut = piece + 1
-                while w.node_at(cut) != x:
-                    cut += 1
-                inner = Walk(w.graph, w.node_at(piece + 1), w.steps[piece + 1 : cut], True)
-                nf, _, inner_moves = self.normal_form(inner)
-                moves.extend(_shifted(inner_moves, 1))
-                moves.extend(self._search(prepend(w.steps[piece], nf)))
-                piece = cut
-            self._collapses[key] = tuple(moves)
-        return self._collapses[key]
+    def _collapse(self, w: Walk, at: int, end: int) -> list[HomotopyMove]:
+        """Moves collapsing the loop ``w.steps[at:end]``, erasing each cycle as it closes."""
+        g = w.graph
+        path: list[Dart] = []
+        nodes = [w.node_at(at)]
+        moves: list[HomotopyMove] = []
+        for d in w.steps[at:end]:
+            h = g.head(d)
+            if h not in nodes:
+                path.append(d)
+                nodes.append(h)
+                continue
+            j = nodes.index(h)
+            moves.extend(_shifted(self._search(Walk(g, h, (*path[j:], d), True)), j))
+            del path[j:], nodes[j + 1 :]
+        return moves
 
     def _search(self, loop: Walk) -> tuple[HomotopyMove, ...]:
         key = (loop.start, _codes(loop.steps))
@@ -431,9 +431,9 @@ def normalize_homotopy(
     """Normalize ``w`` and certify that it is homotopic to its normal form.
 
     The normal form and trace are those of ``rewrite.normalize``; the
-    certificate collapses the loop each trace step deletes. A collapse the
-    search cannot certify (map not spherical, or budget too small) yields
-    Inconclusive carrying the leftmost blocked loop in trace order.
+    certificate collapses each deleted loop one simple cycle at a time. A
+    cycle the search cannot collapse (map not spherical, or budget too
+    small) yields Inconclusive carrying the first one in erasure order.
     """
     if w.graph != m.graph:
         raise ValueError("walk does not live on the map's graph")

@@ -3,8 +3,10 @@
 These re-derive expected answers the slow, obvious way: plain DFS over step
 choices for walk enumeration, per-node position counting for membership,
 and a declarative reading of the three reduction rules for one-step
-reducts, and one enumeration and one search per node pair for the
-sphericity checkers. Tests compare the library's fast paths against these.
+reducts, one enumeration and one search per node pair for the sphericity
+checkers, and the recursive construction of normal-form certificates that
+cuts each deleted loop at its basepoint. Tests compare the library's fast
+paths against these.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import random
 from walkmaps import (
     Dart,
     Graph,
+    HomotopyCertificate,
+    HomotopyMove,
+    HomotopyNormalForm,
     Inconclusive,
     SearchBudget,
     Walk,
@@ -22,11 +27,14 @@ from walkmaps import (
     incident_darts,
     is_connected,
     iter_walks_up_to,
+    normalize,
     normalize_homotopy,
     out_darts,
+    prepend,
     prove_homotopic,
+    trivial,
 )
-from walkmaps.homotopy import default_budget
+from walkmaps.homotopy import _bfs, _Blocked, _MoveEngine, default_budget
 
 
 def brute_walks(
@@ -223,3 +231,53 @@ def reference_check_bounded(m, max_len: int, budget=None, collector=None) -> tup
                 if collector is not None:
                     collector.append(cert)
     return ("spherical", None, pairs)
+
+
+def reference_normal_form(m, w: Walk, budget) -> HomotopyNormalForm | Inconclusive:
+    """``normalize_homotopy`` by cutting each deleted loop at its basepoint.
+
+    Each trace step's loop is cut at every return to its basepoint; the
+    inside of each piece is brought to its normal form first, recursively,
+    which leaves a quasi-simple loop ``first dart . normal form`` for one
+    search against the trivial walk. Inner moves apply one step in.
+    """
+    searches: dict[tuple, HomotopyCertificate | None] = {}
+
+    def shifted(moves, k: int) -> list[HomotopyMove]:
+        return [HomotopyMove(mv.face, mv.a, mv.b, mv.prefix_len + k, mv.direction) for mv in moves]
+
+    def search(loop: Walk):
+        point = trivial(loop.graph, loop.start, symmetric=True)
+        if loop.key() not in searches:
+            searches[loop.key()] = prove_homotopic(m, loop, point, budget)
+        if searches[loop.key()] is None:
+            # the public prover drops the search's exhausted flag
+            raise _Blocked(loop, _bfs(_MoveEngine(m), loop, point, budget)[1])
+        return searches[loop.key()].moves
+
+    def collapse(w: Walk, at: int, end: int) -> list[HomotopyMove]:
+        x, moves, piece = w.node_at(at), [], at
+        while piece < end:
+            cut = piece + 1
+            while w.node_at(cut) != x:
+                cut += 1
+            inner = Walk(w.graph, w.node_at(piece + 1), w.steps[piece + 1 : cut], True)
+            nf, _, inner_moves = normal_form(inner)
+            moves += shifted(inner_moves, 1)
+            moves += search(prepend(w.steps[piece], nf))
+            piece = cut
+        return moves
+
+    def normal_form(w: Walk):
+        nf, trace = normalize(w)
+        moves: list[HomotopyMove] = []
+        for s in trace.steps:
+            end = s.depth + s.before.length - s.after.length
+            moves += shifted(collapse(s.before, s.depth, end), s.depth)
+        return nf, trace, tuple(moves)
+
+    try:
+        nf, trace, moves = normal_form(w)
+    except _Blocked as blocked:
+        return Inconclusive(blocked.subgoal, budget, blocked.exhausted)
+    return HomotopyNormalForm(nf, trace, HomotopyCertificate(w, nf, moves))

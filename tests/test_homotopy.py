@@ -10,6 +10,7 @@ from walkmaps import (
     Dart,
     HomotopyCertificate,
     HomotopyMove,
+    HomotopyNormalForm,
     Inconclusive,
     SearchBudget,
     Walk,
@@ -21,7 +22,9 @@ from walkmaps import (
     check_spherical_quasi,
     compose,
     concat_certificates,
+    euler_characteristic,
     incident_darts,
+    is_connected,
     is_quasi_simple,
     loop_collapse_cert,
     normalize,
@@ -43,7 +46,7 @@ from .fixtures import (
     torus2_map,
     triangle_map,
 )
-from .oracles import reference_check_bounded, reference_check_quasi
+from .oracles import reference_check_bounded, reference_check_quasi, reference_normal_form
 
 
 def digon_edge_walk(edge: int):
@@ -126,6 +129,17 @@ def test_replay_rejects_corrupted_certificates():
     wrong_moves = HomotopyCertificate(c.target, c.source, c.moves)
     with pytest.raises(SegmentMismatchError):
         replay_certificate(m, wrong_moves)
+    # only the two named directions replay; a corrupt file may hold any other
+    sideways = HomotopyMove(face=0, a=0, b=1, prefix_len=0, direction="sideways")
+    with pytest.raises(ValueError, match="sideways"):
+        replay_certificate(m, HomotopyCertificate(c.source, c.target, (sideways,)))
+    # the walks are checked even when there is no move to replay
+    elsewhere = trivial(build_graph(1, [(0, 0)]), 0, symmetric=True)
+    with pytest.raises(ValueError, match="graph"):
+        replay_certificate(m, HomotopyCertificate(elsewhere, elsewhere, ()))
+    directed = trivial(m.graph, 0)
+    with pytest.raises(ValueError, match="symmetrised"):
+        replay_certificate(m, HomotopyCertificate(directed, directed, ()))
 
 
 def test_certificate_reverse_and_concat_replay():
@@ -230,6 +244,70 @@ def test_normalize_homotopy_inconclusive_on_torus():
     assert res.exhausted
     src, dst = res.subgoal
     assert src == w and dst == trivial(m.graph, 0, symmetric=True)
+
+
+def test_normalize_homotopy_matches_the_recursive_reference():
+    # erasing cycles as they close must give the recursive construction's
+    # normal form, trace, moves, sub-goal and exhausted flag
+    import random
+
+    from walkmaps import iter_walks_up_to
+
+    from .oracles import random_walk
+    from .test_embedding import _random_map
+
+    kinds = set()
+    for m in all_fixture_maps().values():
+        budget = SearchBudget(max_len=default_budget(m).max_len, max_states=2000)
+        for x in range(m.graph.node_count):
+            for w in iter_walks_up_to(m.graph, 4, x, None, symmetric=True):
+                res = normalize_homotopy(m, w, budget)
+                assert res == reference_normal_form(m, w, budget), str(w)
+                kinds.add(type(res))
+    rng = random.Random(909)
+    budget = SearchBudget(max_len=6, max_states=300)
+    flags = set()
+    maps = 0
+    while maps < 30:
+        n = rng.randint(1, 4)
+        g = build_graph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 5))])
+        m = _random_map(rng, g)
+        if not is_connected(g) or euler_characteristic(m) not in (2, 0, -2):
+            continue
+        maps += 1
+        for _ in range(8):
+            w = random_walk(rng, g, 10, symmetric=True)
+            res = normalize_homotopy(m, w, budget)
+            assert res == reference_normal_form(m, w, budget), str(w)
+            if isinstance(res, Inconclusive):
+                flags.add(res.exhausted)
+    assert kinds == {HomotopyNormalForm, Inconclusive}
+    assert flags == {True, False}
+
+
+def test_long_loop_collapses_without_recursion():
+    # a 3 x 701 torus grid, rotation [right+, up+, left-, down-] at each
+    # node; 700 steps right and back is one loop of 700 nested spurs
+    rows, cols = 3, 701
+    edges = []
+    for x in range(rows * cols):
+        i, j = divmod(x, cols)
+        edges += [(x, i * cols + (j + 1) % cols), (x, (i + 1) % rows * cols + j)]
+    g = build_graph(rows * cols, edges)
+
+    def rotation(x):
+        i, j = divmod(x, cols)
+        left, down = i * cols + (j - 1) % cols, (i - 1) % rows * cols + j
+        return [Dart(2 * x), Dart(2 * x + 1), Dart(2 * left, False), Dart(2 * down + 1, False)]
+
+    m = build_rotation_map(g, {x: rotation(x) for x in range(rows * cols)})
+    right = tuple(Dart(2 * j) for j in range(700))
+    w = Walk(g, 0, right + tuple(d.reverse() for d in reversed(right)), symmetric=True)
+    res = normalize_homotopy(m, w)
+    assert isinstance(res, HomotopyNormalForm)
+    assert res.walk == trivial(g, 0, symmetric=True) and len(res.trace.steps) == 1
+    assert len(res.certificate.moves) == 1400
+    assert replay_certificate(m, res.certificate) == res.walk
 
 
 def test_check_spherical_quasi_fixture_statuses():
