@@ -47,6 +47,7 @@ from .enumeration import (
     enumerate_qswalks_of_length,
     iter_walks_of_length,
     iter_walks_up_to,
+    walk_counts,
 )
 from .rewrite import (
     ReductionStep,

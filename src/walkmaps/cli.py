@@ -6,7 +6,8 @@ sorted, so reports are deterministic apart from the timing field.
 
 Exit codes: 0 success, 1 negative or inconclusive verdict, 2 malformed
 JSON, 3 document schema violation (including a map command on a
-rotation-less file), 4 rotation validation failure, 64 usage errors.
+rotation-less file), 4 rotation validation failure, 64 usage errors,
+among them an enumeration that would visit more than ``MAX_WALKS`` walks.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .embedding import (
-    RotationError,
     RotationMap,
     build_rotation_map,
     euler_characteristic,
 )
-from .enumeration import enumerate_all_qswalks, iter_walks_up_to
+from .enumeration import enumerate_all_qswalks, iter_walks_up_to, walk_counts
 from .graph import Graph, ValidationError, build_graph, is_connected, parse_dart
 from .homotopy import (
     SearchBudget,
@@ -47,6 +47,9 @@ EXIT_USAGE = 64
 
 ENV_MAX_STATES = "WALKMAPS_MAX_STATES"
 ENV_MAX_LEN = "WALKMAPS_MAX_LEN"
+
+# the most walks an unrestricted enumeration may visit before it starts
+MAX_WALKS = 1_000_000
 
 
 class DocumentError(Exception):
@@ -137,10 +140,13 @@ def parse_map_document(text: str) -> MapDocument:
     if not isinstance(rotation_raw, dict):
         raise SchemaError("field 'rotation' must be an object keyed by node id")
     rotation = {}
+    keys: dict[int, str] = {}
     for key, listed in rotation_raw.items():
         if not key.isdecimal():
             raise SchemaError(f"rotation key {key!r} is not a node id")
         node = int(key)
+        if keys.setdefault(node, key) != key:
+            raise SchemaError(f"rotation keys {keys[node]!r} and {key!r} both name node {node}")
         if not isinstance(listed, list):
             raise RotationDocError(f"rotation at node {node} must be a list of dart literals")
         darts = []
@@ -152,9 +158,7 @@ def parse_map_document(text: str) -> MapDocument:
         rotation[node] = darts
     try:
         rmap = build_rotation_map(graph, rotation)
-    except RotationError as err:
-        raise RotationDocError(str(err)) from None
-    except ValidationError as err:
+    except ValidationError as err:  # a RotationError or an unknown node
         raise RotationDocError(str(err)) from None
     return MapDocument(graph, rmap)
 
@@ -185,6 +189,23 @@ def _budget_from(args, m: RotationMap, use_max_len: bool = True) -> SearchBudget
     if max_states is None:
         max_states = _env_int(ENV_MAX_STATES, base.max_states)
     return SearchBudget(max_len, max_states)
+
+
+def _check_search_size(g: Graph, starts: Sequence[int], max_len: int, symmetric: bool) -> None:
+    """Raise UsageError when the walks of length up to ``max_len`` from ``starts``
+    outnumber ``MAX_WALKS``; the enumeration visits each of them, whatever its end.
+    """
+    visited = 0
+    for n, counts in zip(range(max_len + 1), walk_counts(g, None, symmetric)):
+        here = sum(counts[x] for x in starts)
+        if not here:
+            return  # every longer walk would have a prefix of this length
+        visited += here
+        if visited > MAX_WALKS:
+            raise UsageError(
+                f"the walks up to length {max_len} number more than {MAX_WALKS:,}"
+                f" ({visited:,} up to length {n} alone); pass a smaller --max-len"
+            )
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -343,6 +364,7 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
                 walks = [w for w in walks if w.length <= args.max_len]
         else:
             bound = args.max_len if args.max_len is not None else g.node_count
+            _check_search_size(g, (args.src,), bound, False)
             diagnostics.append(f"enumerating all walks up to length {bound}")
             walks = list(iter_walks_up_to(g, bound, args.src, args.dst))
         return {
@@ -396,6 +418,7 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
             # --max-len bounds the enumerated walks; the search budget keeps
             # its own (at least as large) length cap
             bound = args.max_len if args.max_len is not None else 2 * g.node_count
+            _check_search_size(g, range(g.node_count), bound, True)
             budget = _budget_from(args, m, use_max_len=False)
             verdict = check_spherical_bounded(m, bound, budget, collector)
         else:

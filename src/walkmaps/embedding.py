@@ -6,10 +6,10 @@ surface. Faces are the orbits of the tracing successor
 
     next(d) = rotation_at(head(d)).successor(reverse(d))
 
-and together their boundaries use every dart exactly once. Between two
-positions on one face boundary there are two walks in the symmetrised
-graph, one with the tracing order and one against it; these are the
-segment pairs that walk homotopy may exchange.
+and together their boundaries use every dart exactly once; a map checks its
+orders before it traces, so ``next`` is a permutation. Between two positions
+on one face boundary there are two walks in the symmetrised graph, one with
+and one against tracing order: the segment pairs walk homotopy may exchange.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .graph import (
     Graph,
     ValidationError,
     incident_darts,
+    symmetrise,
     validate_cyclic_order,
 )
 from .walk import Walk
@@ -40,10 +41,10 @@ class RotationError(ValidationError):
 
 @dataclass(frozen=True, slots=True)
 class RotationMap:
-    """A graph together with a validated cyclic order at every node.
+    """A graph with a cyclic order of each node's incident darts, checked when built.
 
-    ``faces`` is traced once, when the map is built, and takes no part in
-    comparison.
+    Orders may be any dart sequences and are stored as ``CyclicOrder``.
+    ``faces`` is traced once, after the check, and takes no part in comparison.
     """
 
     graph: Graph
@@ -51,6 +52,14 @@ class RotationMap:
     faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        g = self.graph
+        if len(self.rotations) != g.node_count:
+            raise ValidationError(f"expected one order per node, got {len(self.rotations)}")
+        for x, listed in enumerate(self.rotations):
+            issues = validate_cyclic_order(incident_darts(g, x), listed)
+            if issues:
+                raise RotationError(x, issues)
+        object.__setattr__(self, "rotations", tuple(map(CyclicOrder, self.rotations)))
         object.__setattr__(self, "faces", trace_faces(self))
 
     def rotation_at(self, x: int) -> CyclicOrder:
@@ -62,7 +71,7 @@ class RotationMap:
 
 
 def build_rotation_map(g: Graph, rotation: Mapping[int, Sequence[Dart]]) -> RotationMap:
-    """Validate per-node dart orders against the incident sets and assemble a map.
+    """Assemble a map from per-node dart orders, which ``RotationMap`` checks.
 
     Every node must be covered by a list that is a permutation of its
     incident darts; nodes without incident darts may be omitted. Raises
@@ -71,14 +80,7 @@ def build_rotation_map(g: Graph, rotation: Mapping[int, Sequence[Dart]]) -> Rota
     for x in rotation:
         if not (0 <= x < g.node_count):
             raise ValidationError(f"rotation given for unknown node {x}")
-    orders = []
-    for x in range(g.node_count):
-        listed = tuple(rotation.get(x, ()))
-        issues = validate_cyclic_order(incident_darts(g, x), listed)
-        if issues:
-            raise RotationError(x, issues)
-        orders.append(CyclicOrder(listed))
-    return RotationMap(g, tuple(orders))
+    return RotationMap(g, tuple(rotation.get(x, ()) for x in range(g.node_count)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,10 +117,7 @@ def trace_faces(m: RotationMap) -> tuple[Face, ...]:
     result is canonical for a given map.
     """
     g = m.graph
-    pending = set()
-    for e in g.edges:
-        pending.add(Dart(e.id, True))
-        pending.add(Dart(e.id, False))
+    pending = set(symmetrise(g))
     orbits: list[tuple[Dart, ...]] = []
     for start in sorted(pending, key=lambda d: d.sort_key):
         if start not in pending:

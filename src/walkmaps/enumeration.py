@@ -13,6 +13,7 @@ lexicographic by (edge id, orientation) sequence.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .graph import Dart, Graph, _check_node, incident_darts, out_darts
@@ -54,6 +55,8 @@ def enumerate_qswalks_of_length(
     g: Graph, m: int, x: int, y: int, symmetric: bool = False
 ) -> list[Walk]:
     """Exactly the quasi-simple walks of length ``m`` from ``x`` to ``y``."""
+    if m < 0:
+        raise ValueError("walk length must be non-negative")
     return [w for w in enumerate_all_qswalks(g, x, y, symmetric) if w.length == m]
 
 
@@ -65,23 +68,32 @@ def enumerate_all_qswalks(
     return [Walk(g, x, steps, symmetric) for bucket in found for steps in bucket]
 
 
-def count_walks_of_length(g: Graph, n: int, x: int, y: int, symmetric: bool = False) -> int:
-    """Number of all walks (quasi-simple or not) of length ``n`` from ``x`` to ``y``.
+def walk_counts(g: Graph, y: int | None = None, symmetric: bool = False) -> Iterator[list[int]]:
+    """Walk counts for the lengths 0, 1, 2, ... in turn, without end.
 
-    Computed by the length recurrence: one length-0 walk when x == y, and a
-    length n+1 walk is an edge from x to some k followed by a length-n walk
-    from k to y.
+    Entry ``v`` of the ``n``-th list is the number of all walks (quasi-simple
+    or not) of length ``n`` from ``v`` to ``y``, or to any node when None.
+    Computed by the length recurrence: one length-0 walk at each end, and a
+    length n+1 walk is a step from ``v`` to some ``k`` followed by a length-n
+    walk from ``k``.
     """
+    if y is not None:
+        _check_node(g, y)
+    step_darts = incident_darts if symmetric else out_darts
+    counts = [1 if y is None or v == y else 0 for v in range(g.node_count)]
+    while True:
+        yield counts
+        counts = [sum(counts[g.head(d)] for d in step_darts(g, v)) for v in range(g.node_count)]
+
+
+def count_walks_of_length(
+    g: Graph, n: int, x: int, y: int | None = None, symmetric: bool = False
+) -> int:
+    """Number of all walks of length ``n`` from ``x`` (to ``y`` when given)."""
     if n < 0:
         raise ValueError("walk length must be non-negative")
     _check_node(g, x)
-    _check_node(g, y)
-    step_darts = incident_darts if symmetric else out_darts
-    # counts[v] = number of walks of the current length from v to y
-    counts = [1 if v == y else 0 for v in range(g.node_count)]
-    for _ in range(n):
-        counts = [sum(counts[g.head(d)] for d in step_darts(g, v)) for v in range(g.node_count)]
-    return counts[x]
+    return next(islice(walk_counts(g, y, symmetric), n, None))[x]
 
 
 def iter_walks_of_length(

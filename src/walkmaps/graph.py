@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -58,14 +58,24 @@ def parse_dart(text: str) -> Dart:
 class Graph:
     """Finite directed multigraph with dense node and edge identifiers.
 
-    Immutable after construction; parallel edges and self-loops are allowed.
-    The per-node out-dart and incident-dart lists are built on first use and
-    take no part in comparison, so commands that only parse never pay for them.
+    Immutable after construction, which checks that edge ``i`` has id ``i``
+    and endpoints among the nodes; parallel edges and self-loops are allowed.
+    The per-node dart lists are built on first use, so parsing never pays for them.
     """
 
     node_count: int
     edges: tuple[EdgeRecord, ...]
     _dart_lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.node_count
+        for i, e in enumerate(self.edges):
+            if e.id != i:
+                raise ValidationError(f"edge {i}: id {e.id} does not match its position")
+            if not (0 <= e.source < n) or not (0 <= e.target < n):
+                raise ValidationError(
+                    f"edge {i}: endpoint ({e.source}, {e.target}) out of range for {n} nodes"
+                )
 
     @property
     def edge_count(self) -> int:
@@ -100,14 +110,7 @@ def build_graph(node_count: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     Raises ValidationError naming the offending edge index when an endpoint
     is out of range.
     """
-    records = []
-    for i, (s, t) in enumerate(edge_list):
-        if not (0 <= s < node_count) or not (0 <= t < node_count):
-            raise ValidationError(
-                f"edge {i}: endpoint ({s}, {t}) out of range for {node_count} nodes"
-            )
-        records.append(EdgeRecord(i, s, t))
-    return Graph(node_count, tuple(records))
+    return Graph(node_count, tuple(EdgeRecord(i, s, t) for i, (s, t) in enumerate(edge_list)))
 
 
 def symmetrise(g: Graph) -> tuple[Dart, ...]:
@@ -208,8 +211,8 @@ class CyclicOrder:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, d: Dart) -> bool:
-        return d in self.elements
+    def __iter__(self) -> Iterator[Dart]:
+        return iter(self.elements)
 
     def successor(self, d: Dart) -> Dart:
         i = self.elements.index(d)

@@ -3,7 +3,8 @@
 A walk is a start node plus an adjacency-checked dart sequence. Walks live
 either in the directed graph itself (forward darts only) or in its
 symmetrisation (darts of both orientations); the ``symmetric`` flag records
-which. All operations are pure functions over immutable values.
+which. Functions of the visited nodes read ``Walk.nodes``, one pass over the
+steps. All operations are pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ class Walk:
         return self.graph.head(self.steps[-1])
 
     def node_at(self, i: int) -> int:
-        """Node visited after ``i`` steps, for ``0 <= i <= length``."""
-        if i == 0:
-            return self.start
-        return self.graph.head(self.steps[i - 1])
+        """Node visited after ``i`` steps; raises IndexError unless ``0 <= i <= length``."""
+        if not (0 <= i <= len(self.steps)):
+            raise IndexError(f"walk of length {self.length} has no node at {i}")
+        return self.graph.head(self.steps[i - 1]) if i else self.start
 
     def nodes(self) -> tuple[int, ...]:
-        return tuple(self.node_at(i) for i in range(self.length + 1))
+        """The ``length + 1`` nodes the walk visits, in order."""
+        return (self.start, *map(self.graph.head, self.steps))
 
     def key(self) -> tuple:
         """Hashable identity of the walk as a step sequence."""
@@ -129,7 +131,7 @@ def occurs(z: int, w: Walk) -> int:
     ends at is deliberately not counted, so a loop's closing return does not
     register as a repeat.
     """
-    return sum(1 for i in range(w.length) if w.node_at(i) == z)
+    return w.nodes()[:-1].count(z)
 
 
 def membership_census(w: Walk) -> int:
@@ -144,18 +146,13 @@ def membership_census(w: Walk) -> int:
 def is_quasi_simple(w: Walk) -> bool:
     """Whether no node repeats among the non-final positions of ``w``.
 
-    Computed by peeling leading steps: a walk extended by a step from ``x``
-    stays quasi-simple exactly when the rest is quasi-simple and ``x`` does
-    not occur in it. The end may still coincide with one earlier node, so
-    loops without inner repetitions qualify.
+    Equal to the definition by peeling leading steps: a walk extended by a
+    step from ``x`` stays quasi-simple exactly when the rest is quasi-simple
+    and ``x`` does not occur in it. The end may still coincide with one
+    earlier node, so loops without inner repetitions qualify.
     """
-    seen: set[int] = set()
-    for i in range(w.length - 1, -1, -1):
-        x = w.node_at(i)
-        if x in seen:
-            return False
-        seen.add(x)
-    return True
+    left = w.nodes()[:-1]
+    return len(set(left)) == len(left)
 
 
 def is_prefix(p: Walk, w: Walk) -> bool:
@@ -180,8 +177,8 @@ def split_at(w: Walk, y: int) -> Optional[Split]:
     that first occurrence, ``y`` absent from ``prefix``, and
     ``compose(prefix, suffix) == w``.
     """
-    for i in range(w.length):
-        if w.node_at(i) == y:
+    for i, x in enumerate(w.nodes()[:-1]):
+        if x == y:
             return Split(prefix_to(w, i), suffix_from(w, i))
     return None
 
@@ -194,9 +191,8 @@ def compact(w: Walk) -> str:
 def verbose(w: Walk) -> str:
     """Readable textual form, e.g. ``0 -e3> 1 -e7< 2``."""
     parts = [str(w.start)]
-    for i, d in enumerate(w.steps):
-        mark = ">" if d.forward else "<"
-        parts.append(f"-e{d.edge}{mark} {w.node_at(i + 1)}")
+    for d, x in zip(w.steps, w.nodes()[1:]):
+        parts.append(f"-e{d.edge}{'>' if d.forward else '<'} {x}")
     return " ".join(parts)
 
 

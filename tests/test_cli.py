@@ -193,6 +193,35 @@ def test_walks_quasi_only_respects_max_len(capsys, monkeypatch):
     assert capped["result"]["walks"] == ["0:"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 4 out-darts at every node: sum of 4**n for n <= 12 is 22,369,621 walks
+        ["walks", "dense3x2.json", "--from", "0", "--to", "1", "--max-len", "12"],
+        # 4 starts, 3 darts each: 4 * sum of 3**n for n <= 12 is 3,188,644 walks
+        ["check-spherical", "k4sphere.json", "--method", "bounded", "--max-len", "12"],
+    ],
+    ids=["walks", "bounded"],
+)
+def test_oversized_enumeration_exits_64(argv, capsys, monkeypatch):
+    report, code = _run(argv, capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert report["result"] == {}
+    [message] = report["diagnostics"]
+    assert "more than 1,000,000" in message and "--max-len" in message
+
+
+def test_duplicate_rotation_keys_exit_3(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "dup.json"
+    rotation = {"0": ["e0+", "e0-"], "1": [], "01": []}
+    doc.write_text(json.dumps({"nodes": 2, "edges": [[0, 0]], "rotation": rotation}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run(["validate", "dup.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_BAD_SCHEMA
+    assert report["diagnostics"] == ["rotation keys '1' and '01' both name node 1"]
+
+
 def test_node_out_of_range_exits_3(capsys, monkeypatch):
     _, code = _run(["walks", "digon.json", "--from", "0", "--to", "9"], capsys, monkeypatch)
     assert code == EXIT_BAD_SCHEMA

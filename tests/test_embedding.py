@@ -6,9 +6,11 @@ import pytest
 
 from walkmaps import (
     BoundaryAnchor,
+    CyclicOrder,
     Dart,
     RotationError,
     RotationMap,
+    ValidationError,
     Walk,
     boundary_walks,
     build_rotation_map,
@@ -93,6 +95,27 @@ def test_build_rotation_map_rejects_bad_orders():
         build_rotation_map(g, {0: [Dart(0, True)]})
     with pytest.raises(RotationError, match="foreign"):
         build_rotation_map(g, {0: [Dart(0, True), Dart(0, False), Dart(9, True)]})
+
+
+def test_rotation_map_constructor_rejects_a_foreign_dart():
+    # node 0 also lists e0-, which is node 1's; tracing such a map never ends
+    g = digon_graph()
+    bad = (
+        CyclicOrder((Dart(0, True), Dart(1, True), Dart(0, False))),
+        CyclicOrder((Dart(0, False), Dart(1, False))),
+    )
+    with pytest.raises(RotationError, match="node 0: foreign dart e0-"):
+        RotationMap(g, bad)
+
+
+def test_rotation_map_constructor_takes_plain_lists_and_needs_one_per_node():
+    g = digon_graph()
+    lists = [[Dart(0, True), Dart(1, True)], [Dart(1, False), Dart(0, False)]]
+    m = RotationMap(g, lists)
+    assert m == digon_map()
+    assert all(isinstance(r, CyclicOrder) for r in m.rotations)
+    with pytest.raises(ValidationError, match="one order per node"):
+        RotationMap(g, lists[:1])
 
 
 def test_boundary_walks_equal_anchor():

@@ -140,17 +140,34 @@ def test_count_walks_examples():
         assert count_walks_of_length(loop, k, 0, 0) == 1
 
 
+def test_count_walks_to_any_end_sums_the_ends():
+    g = build_graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (0, 0)])
+    for sym in (False, True):
+        for n in range(5):
+            for x in range(3):
+                total = sum(count_walks_of_length(g, n, x, y, sym) for y in range(3))
+                assert count_walks_of_length(g, n, x, None, sym) == total
+                assert count_walks_of_length(g, n, x, symmetric=sym) == total
+
+
 def test_count_walks_rejects_negative_length():
     with pytest.raises(ValueError):
         count_walks_of_length(triangle_graph(), -1, 0, 0)
 
 
-@pytest.mark.parametrize("gen", [iter_walks_of_length, iter_walks_up_to])
+@pytest.mark.parametrize(
+    "gen", [iter_walks_of_length, iter_walks_up_to, enumerate_qswalks_of_length]
+)
 def test_walk_generators_reject_negative_length(gen):
     # like a bad endpoint, a negative length raises on first use
-    walks = gen(triangle_graph(), -1, 0)
-    with pytest.raises(ValueError):
-        next(walks)
+    g = triangle_graph()
+    if gen is enumerate_qswalks_of_length:  # returns a list: first use is the call
+        with pytest.raises(ValueError):
+            gen(g, -1, 0, 0)
+    else:
+        walks = gen(g, -1, 0)
+        with pytest.raises(ValueError):
+            next(walks)
 
 
 @given(graphs())

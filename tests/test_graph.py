@@ -8,6 +8,8 @@ from hypothesis import given
 from walkmaps import (
     CyclicOrder,
     Dart,
+    EdgeRecord,
+    Graph,
     ValidationError,
     build_graph,
     incident_darts,
@@ -31,6 +33,21 @@ def test_build_graph_assigns_dense_ids_in_order():
 def test_build_graph_rejects_bad_endpoint_naming_edge_index():
     with pytest.raises(ValidationError, match="edge 1"):
         build_graph(2, [(0, 1), (0, 5)])
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # permuted ids: node 0 would list e1+ as an out-dart whose tail is 1
+        (EdgeRecord(1, 0, 1), EdgeRecord(0, 1, 0)),
+        (EdgeRecord(0, 0, 2),),
+        (EdgeRecord(0, -1, 0),),
+    ],
+    ids=["permuted", "target-out-of-range", "negative-source"],
+)
+def test_graph_constructor_rejects_bad_edge_records(edges):
+    with pytest.raises(ValidationError, match="edge 0"):
+        Graph(2, edges)
 
 
 def test_loop_and_parallel_edges_are_allowed():

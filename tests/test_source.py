@@ -1,0 +1,41 @@
+"""Source-level properties of the package that no behavioural test pins down."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import walkmaps
+
+SOURCE_DIR = Path(walkmaps.__file__).parent
+
+
+def _self_calls(tree: ast.AST):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            by_name = isinstance(f, ast.Name) and f.id == fn.name
+            by_self = (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+            )
+            if by_name or by_self:
+                yield f"{fn.name} (line {node.lineno})"
+
+
+def test_no_function_calls_itself():
+    # deep inputs must not hit the interpreter's recursion limit
+    modules = sorted(SOURCE_DIR.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}: {call}"
+        for path in modules
+        for call in _self_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []

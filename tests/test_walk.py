@@ -49,6 +49,15 @@ def test_walk_checks_adjacency():
         Walk(g, 0, (Dart(0), Dart(2)))
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_node_at_rejects_positions_outside_the_walk(i):
+    # node_at(-1) used to read the node before the last step, not the end
+    w = Walk(triangle_graph(), 0, (Dart(0), Dart(1)))
+    assert w.nodes() == (0, 1, 2)
+    with pytest.raises(IndexError):
+        w.node_at(i)
+
+
 def test_walk_checks_start():
     g = triangle_graph()
     with pytest.raises(ValidationError):
