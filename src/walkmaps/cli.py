@@ -99,15 +99,25 @@ class MapDocument:
         return doc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a schema error, not a silent overwrite."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"key {key!r} repeated in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def parse_map_document(text: str) -> MapDocument:
     """Parse the map JSON schema, validating the graph and any rotation.
 
     Schema: ``{"nodes": N, "edges": [[s,t],...], "rotation": {"<node>":
-    ["e3+", ...]}}`` with ``rotation`` optional. Diagnostics name the
-    offending field, edge index or node.
+    ["e3+", ...]}}`` with ``rotation`` optional; no object repeats a key.
+    Diagnostics name the offending field, key, edge index or node.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise JsonSyntaxError(f"malformed JSON: {err}") from None
     if not isinstance(raw, dict):

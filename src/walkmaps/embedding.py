@@ -162,6 +162,23 @@ def _ccw_steps(boundary: tuple[Dart, ...], a: int, b: int) -> tuple[Dart, ...]:
     return tuple(boundary[(a - 1 - j) % n].reverse() for j in range(k))
 
 
+def _boundary_segments(
+    m: RotationMap, face: int, a: int, b: int
+) -> tuple[tuple[Dart, ...], tuple[Dart, ...]]:
+    """The darts ``(cw, ccw)`` of the two walks from position ``a`` to ``b`` of ``face``.
+
+    ``cw`` is never empty, so its first dart leaves the node under ``a``.
+    Raises ValueError for a face or position the map does not have.
+    """
+    if not (0 <= face < len(m.faces)):
+        raise ValueError(f"no face {face}")
+    boundary = m.faces[face].boundary
+    for pos in (a, b):
+        if not (0 <= pos < len(boundary)):
+            raise ValueError(f"anchor position {pos} outside boundary of face {face}")
+    return _cw_steps(boundary, a, b), _ccw_steps(boundary, a, b)
+
+
 def boundary_walks(m: RotationMap, a: BoundaryAnchor, b: BoundaryAnchor) -> BoundaryWalks:
     """The two boundary walks from anchor ``a`` to anchor ``b`` of one face.
 
@@ -172,14 +189,6 @@ def boundary_walks(m: RotationMap, a: BoundaryAnchor, b: BoundaryAnchor) -> Boun
     """
     if a.face != b.face:
         raise ValueError(f"anchors lie on different faces ({a.face} != {b.face})")
-    if not (0 <= a.face < len(m.faces)):
-        raise ValueError(f"no face {a.face}")
-    boundary = m.faces[a.face].boundary
-    for anchor in (a, b):
-        if not (0 <= anchor.position < len(boundary)):
-            raise ValueError(f"anchor position {anchor.position} outside boundary")
-    g = m.graph
-    start = g.tail(boundary[a.position])
-    cw = Walk(g, start, _cw_steps(boundary, a.position, b.position), symmetric=True)
-    ccw = Walk(g, start, _ccw_steps(boundary, a.position, b.position), symmetric=True)
-    return BoundaryWalks(cw, ccw)
+    cw, ccw = _boundary_segments(m, a.face, a.position, b.position)
+    start = m.graph.tail(cw[0])
+    return BoundaryWalks(Walk(m.graph, start, cw, True), Walk(m.graph, start, ccw, True))

@@ -22,14 +22,14 @@ from .walk import Walk
 
 def _tree(
     g: Graph, x: int, y: int | None, symmetric: bool, max_len: int, quasi: bool
-) -> list[list[tuple[Dart, ...]]]:
-    """Step tuples of the walks from ``x`` up to ``max_len`` steps, by length.
+) -> list[tuple[Dart, ...]]:
+    """Step tuples of the walks from ``x`` up to ``max_len`` steps, shortest first.
 
     A walk is recorded whenever the search stands at ``y`` (anywhere when
     None), before it asks whether to step on, so a closing loop counts. It
     steps on only below ``max_len`` and, with ``quasi``, only from nodes not
     yet stepped from. Darts go in (edge, orientation) order, so each length
-    comes out lexicographic.
+    is lexicographic, which the stable sort by length keeps.
     """
     if max_len < 0:
         raise ValueError("walk length must be non-negative")
@@ -37,17 +37,18 @@ def _tree(
     if y is not None:
         _check_node(g, y)
     step_darts = incident_darts if symmetric else out_darts
-    found: list[list[tuple[Dart, ...]]] = [[] for _ in range(max_len + 1)]
+    found: list[tuple[Dart, ...]] = []
     # (node, steps taken to reach it, nodes the walk has stepped on from)
     stack: list[tuple[int, tuple[Dart, ...], frozenset[int]]] = [(x, (), frozenset())]
     while stack:
         at, steps, seen = stack.pop()
         if y is None or at == y:
-            found[len(steps)].append(steps)
+            found.append(steps)
         if len(steps) < max_len and not (quasi and at in seen):
             seen = seen | {at} if quasi else seen
             for d in reversed(step_darts(g, at)):
                 stack.append((g.head(d), steps + (d,), seen))
+    found.sort(key=len)
     return found
 
 
@@ -64,8 +65,7 @@ def enumerate_all_qswalks(
     g: Graph, x: int, y: int | None = None, symmetric: bool = False
 ) -> list[Walk]:
     """Every quasi-simple walk from ``x`` (to ``y`` when given), shortest first."""
-    found = _tree(g, x, y, symmetric, g.node_count, True)
-    return [Walk(g, x, steps, symmetric) for bucket in found for steps in bucket]
+    return [Walk(g, x, steps, symmetric) for steps in _tree(g, x, y, symmetric, g.node_count, True)]
 
 
 def walk_counts(g: Graph, y: int | None = None, symmetric: bool = False) -> Iterator[list[int]]:
@@ -103,8 +103,9 @@ def iter_walks_of_length(
 
     The whole search runs before the first walk is yielded.
     """
-    for steps in _tree(g, x, y, symmetric, n, False)[n]:
-        yield Walk(g, x, steps, symmetric)
+    for steps in _tree(g, x, y, symmetric, n, False):
+        if len(steps) == n:
+            yield Walk(g, x, steps, symmetric)
 
 
 def iter_walks_up_to(
@@ -114,6 +115,5 @@ def iter_walks_up_to(
 
     The whole search runs before the first walk is yielded.
     """
-    for bucket in _tree(g, x, y, symmetric, max_len, False):
-        for steps in bucket:
-            yield Walk(g, x, steps, symmetric)
+    for steps in _tree(g, x, y, symmetric, max_len, False):
+        yield Walk(g, x, steps, symmetric)

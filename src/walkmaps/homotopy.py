@@ -8,10 +8,11 @@ move sequences and every operation here keeps them replayable: reflexivity
 is the empty certificate, symmetry reverses and flips a move list,
 transitivity concatenates, and whiskering shifts move offsets.
 
-The relation itself is only searched, never decided: bounded breadth-first
-search produces certificates, and an exhausted search is kept apart from a
-disproof. The independent negative signal is the Euler characteristic,
-which for a connected map is 2 exactly on sphere embeddings.
+The relation itself is only searched, never decided. ``_Certifier.prove``
+is the one search entry: it returns a certificate or raises ``_Blocked``
+with the pair and whether the bounded closure was exhausted, which is kept
+apart from a disproof. The negative signal is the Euler characteristic,
+read only in ``check_spherical_euler``: 2 exactly on connected spheres.
 
 A walk is certified homotopic to its normal form from the trace of
 ``rewrite.normalize``: each trace step deletes one loop, erased cycle by
@@ -29,7 +30,7 @@ from operator import attrgetter
 from typing import Optional
 
 from . import rewrite
-from .embedding import Face, RotationMap, _ccw_steps, _cw_steps, euler_characteristic
+from .embedding import RotationMap, _boundary_segments, euler_characteristic
 from .enumeration import enumerate_all_qswalks, iter_walks_up_to
 from .graph import Dart, is_connected
 from .walk import Walk, compose, trivial
@@ -104,38 +105,23 @@ class SegmentMismatchError(ValueError):
         super().__init__(f"segment mismatch at offset {offset}: expected {exp}, found {got}")
 
 
-def _move_segments(face: Face, move: HomotopyMove) -> tuple[tuple[Dart, ...], tuple[Dart, ...]]:
-    cw = _cw_steps(face.boundary, move.a, move.b)
-    ccw = _ccw_steps(face.boundary, move.a, move.b)
-    return (ccw, cw) if move.direction == CCW_TO_CW else (cw, ccw)
-
-
 def apply_hcollapse(m: RotationMap, w: Walk, move: HomotopyMove) -> Walk:
     """Apply one move to ``w``; endpoints are preserved.
 
     Requires the move's source-direction segment to sit at ``prefix_len``;
     otherwise a SegmentMismatchError reports expected versus found darts.
     """
-    if w.graph != m.graph:
-        raise ValueError("walk does not live on the map's graph")
-    if not w.symmetric:
-        raise ValueError("homotopy moves act on walks in the symmetrised graph")
+    _check_walk(m, w)
     if move.direction not in (CCW_TO_CW, CW_TO_CCW):
         raise ValueError(f"unknown move direction {move.direction!r}")
-    if not (0 <= move.face < len(m.faces)):
-        raise ValueError(f"no face {move.face}")
-    face = m.faces[move.face]
-    for pos in (move.a, move.b):
-        if not (0 <= pos < len(face)):
-            raise ValueError(f"anchor position {pos} outside boundary of face {move.face}")
-    src, dst = _move_segments(face, move)
+    cw, ccw = _boundary_segments(m, move.face, move.a, move.b)
+    src, dst = (ccw, cw) if move.direction == CCW_TO_CW else (cw, ccw)
     i = move.prefix_len
     if i < 0 or i + len(src) > w.length:
         raise SegmentMismatchError(i, src, None)
     if w.steps[i : i + len(src)] != src:
         raise SegmentMismatchError(i, src, w.steps[i : i + len(src)])
-    anchor = m.graph.tail(face.boundary[move.a])
-    if w.node_at(i) != anchor:
+    if w.node_at(i) != m.graph.tail(cw[0]):  # cw is never empty: it starts at the anchor
         raise SegmentMismatchError(i, src, w.steps[i : i + len(src)])
     return Walk(m.graph, w.start, w.steps[:i] + dst + w.steps[i + len(src) :], symmetric=True)
 
@@ -226,17 +212,15 @@ class _MoveEngine:
         self.by_first_dart: list[list[tuple]] = [[] for _ in self.head]
         self.insertions_by_node: list[list[tuple]] = [[] for _ in range(g.node_count)]
         for face in m.faces:
-            boundary = face.boundary
-            for a in range(len(boundary)):
-                for b in range(len(boundary)):
-                    cw = _codes(_cw_steps(boundary, a, b))
-                    ccw = _codes(_ccw_steps(boundary, a, b))
+            for a in range(len(face)):
+                for b in range(len(face)):
+                    cw, ccw = map(_codes, _boundary_segments(m, face.id, a, b))
                     for src, dst, direction in ((ccw, cw, CCW_TO_CW), (cw, ccw, CW_TO_CCW)):
                         entry = (src, dst, len(dst) - len(src), (face.id, a, b, direction))
                         if src:
                             self.by_first_dart[src[0]].append(entry)
                         else:
-                            self.insertions_by_node[g.tail(boundary[a])].append(entry)
+                            self.insertions_by_node[g.tail(face.boundary[a])].append(entry)
 
     def successors(self, start: int, steps: tuple[int, ...], max_len: int):
         """All (descriptor, offset, steps) one move away, length-capped."""
@@ -289,15 +273,10 @@ def _bfs(
         for desc, i, nxt in engine.successors(start, current, budget.max_len):
             if nxt in own:
                 continue
-            if nxt in other:
-                face, a, b, direction = desc
-                fwd = path(side, current) + [HomotopyMove(face, a, b, i, direction)]
-                bwd = [mv.inverted() for mv in reversed(path(1 - side, nxt))]
-                moves = tuple(fwd + bwd)
-                if side == 1:
-                    moves = tuple(mv.inverted() for mv in reversed(moves))
-                return HomotopyCertificate(w1, w2, moves), True
             own[nxt] = (current, desc, i)
+            if nxt in other:
+                moves = path(0, nxt) + [mv.inverted() for mv in reversed(path(1, nxt))]
+                return HomotopyCertificate(w1, w2, tuple(moves)), True
             frontiers[side].append(nxt)
             visited += 1
             if visited > budget.max_states:
@@ -314,16 +293,22 @@ def prove_homotopic(
     exhausted; neither outcome is a disproof.
     """
     _check_pair(m, w1, w2)
-    cert, _ = _bfs(_MoveEngine(m), w1, w2, budget or default_budget(m))
-    return cert
+    try:
+        return _Certifier(m, budget or default_budget(m)).prove(w1, w2)
+    except _Blocked:
+        return None
+
+
+def _check_walk(m: RotationMap, w: Walk) -> None:
+    if w.graph != m.graph:
+        raise ValueError("walk does not live on the map's graph")
+    if not w.symmetric:
+        raise ValueError("homotopy relates walks in the symmetrised graph")
 
 
 def _check_pair(m: RotationMap, w1: Walk, w2: Walk) -> None:
-    for w in (w1, w2):
-        if w.graph != m.graph:
-            raise ValueError("walk does not live on the map's graph")
-        if not w.symmetric:
-            raise ValueError("homotopy relates walks in the symmetrised graph")
+    _check_walk(m, w1)
+    _check_walk(m, w2)
     if (w1.start, w1.end) != (w2.start, w2.end):
         raise ValueError(
             f"walks do not share endpoints: ({w1.start},{w1.end}) vs ({w2.start},{w2.end})"
@@ -365,27 +350,36 @@ class Inconclusive:
 
 
 class _Blocked(Exception):
-    """A loop collapse the search could not certify."""
+    """A walk pair the search could not certify, and whether it was exhausted."""
 
-    def __init__(self, loop: Walk, exhausted: bool):
-        self.subgoal = (loop, trivial(loop.graph, loop.start, symmetric=True))
+    def __init__(self, subgoal: tuple[Walk, Walk], exhausted: bool):
+        self.subgoal = subgoal
         self.exhausted = exhausted
 
 
 class _Certifier:
-    """Moves from walks to their ``rewrite.normalize`` normal forms on one map.
+    """The one search entry on one map: ``prove`` certifies a pair or raises _Blocked.
 
-    Each trace step deletes one loop. One pass over its darts keeps the
-    loop-erased path; a dart back onto the path closes a simple cycle, which
-    one search collapses at its offset before the path is cut back.
-    Searches are memoized per cycle; an uncertified search raises _Blocked,
-    so the first cycle in erasure order that cannot be collapsed wins.
+    Every search goes through ``prove``, and its one failure, _Blocked with
+    the pair and the ``exhausted`` flag, ends the caller. ``normal_form``
+    reads the ``rewrite.normalize`` trace: each step deletes one loop. One
+    pass over its darts keeps the loop-erased path; a dart back onto the
+    path closes a simple cycle, which one ``prove`` against the trivial
+    walk collapses at its offset before the path is cut back. Successful
+    collapses are memoized per cycle.
     """
 
     def __init__(self, m: RotationMap, budget: SearchBudget):
         self.budget = budget
         self.engine = _MoveEngine(m)
-        self._searches: dict[tuple, tuple[Optional[HomotopyCertificate], bool]] = {}
+        self._collapses: dict[tuple, tuple[HomotopyMove, ...]] = {}
+
+    def prove(self, w1: Walk, w2: Walk) -> HomotopyCertificate:
+        """A certificate from ``w1`` to ``w2``; raises _Blocked when the search finds none."""
+        cert, exhausted = _bfs(self.engine, w1, w2, self.budget)
+        if cert is None:
+            raise _Blocked((w1, w2), exhausted)
+        return cert
 
     def normal_form(self, w: Walk) -> tuple[Walk, rewrite.ReductionTrace, tuple[HomotopyMove, ...]]:
         """``rewrite.normalize(w)`` plus the moves deforming ``w`` into its normal form."""
@@ -410,19 +404,14 @@ class _Certifier:
                 nodes.append(h)
                 continue
             j = nodes.index(h)
-            moves.extend(_shifted(self._search(Walk(g, h, (*path[j:], d), True)), j))
+            cycle = (*path[j:], d)
+            key = (h, _codes(cycle))
+            if key not in self._collapses:
+                loop = Walk(g, h, cycle, True)
+                self._collapses[key] = self.prove(loop, trivial(g, h, symmetric=True)).moves
+            moves.extend(_shifted(self._collapses[key], j))
             del path[j:], nodes[j + 1 :]
         return moves
-
-    def _search(self, loop: Walk) -> tuple[HomotopyMove, ...]:
-        key = (loop.start, _codes(loop.steps))
-        if key not in self._searches:
-            point = trivial(loop.graph, loop.start, symmetric=True)
-            self._searches[key] = _bfs(self.engine, loop, point, self.budget)
-        cert, exhausted = self._searches[key]
-        if cert is None:
-            raise _Blocked(loop, exhausted)
-        return cert.moves
 
 
 def normalize_homotopy(
@@ -435,10 +424,7 @@ def normalize_homotopy(
     cycle the search cannot collapse (map not spherical, or budget too
     small) yields Inconclusive carrying the first one in erasure order.
     """
-    if w.graph != m.graph:
-        raise ValueError("walk does not live on the map's graph")
-    if not w.symmetric:
-        raise ValueError("normalize_homotopy acts on walks in the symmetrised graph")
+    _check_walk(m, w)
     budget = budget or default_budget(m)
     try:
         nf, trace, moves = _Certifier(m, budget).normal_form(w)
@@ -464,20 +450,6 @@ class SphericityVerdict:
     budget: Optional[SearchBudget] = None
 
 
-def _euler_if_connected(m: RotationMap) -> Optional[int]:
-    return euler_characteristic(m) if is_connected(m.graph) else None
-
-
-def _failure_verdict(
-    m: RotationMap, pair: tuple[Walk, Walk], budget: SearchBudget, pairs: int
-) -> SphericityVerdict:
-    """Classify an unproven pair: the Euler oracle supplies the negative signal."""
-    chi = _euler_if_connected(m)
-    if chi is not None and chi != 2:
-        return SphericityVerdict(NOT_SPHERICAL, pair, chi, pairs, budget)
-    return SphericityVerdict(INCONCLUSIVE, pair, chi, pairs, budget)
-
-
 def check_spherical_quasi(
     m: RotationMap,
     budget: Optional[SearchBudget] = None,
@@ -488,25 +460,29 @@ def check_spherical_quasi(
     For every ordered node pair, all quasi-simple walks in the symmetrised
     graph are proved homotopic to the first enumerated one; the remaining
     pairs follow by symmetry and transitivity of certificates. Spherical
-    only when every pair is certified. Certificates found along the way are
-    appended to ``collector`` when one is given.
+    only when every pair is certified; for the first pair that is not, the
+    Euler reading tells not spherical from inconclusive. Certificates found
+    along the way are appended to ``collector`` when one is given.
     """
     budget = budget or default_budget(m)
-    engine = _MoveEngine(m)
+    euler = check_spherical_euler(m)
+    certifier = _Certifier(m, budget)
     pairs = 0
-    for x in range(m.graph.node_count):
-        # one search per start node; the stable sort keeps each end's walks in order
-        walks = sorted(enumerate_all_qswalks(m.graph, x, None, symmetric=True), key=_end)
-        for _, group in groupby(walks, key=_end):
-            base, *others = group
-            for other in others:
-                pairs += 1
-                cert, _ = _bfs(engine, base, other, budget)
-                if cert is None:
-                    return _failure_verdict(m, (base, other), budget, pairs)
-                if collector is not None:
-                    collector.append(cert)
-    return SphericityVerdict(SPHERICAL, None, _euler_if_connected(m), pairs, budget)
+    try:
+        for x in range(m.graph.node_count):
+            # one search per start node; the stable sort keeps each end's walks in order
+            walks = sorted(enumerate_all_qswalks(m.graph, x, None, symmetric=True), key=_end)
+            for _, group in groupby(walks, key=_end):
+                base, *others = group
+                for other in others:
+                    pairs += 1
+                    cert = certifier.prove(base, other)
+                    if collector is not None:
+                        collector.append(cert)
+    except _Blocked as blocked:
+        status = NOT_SPHERICAL if euler.status == NOT_SPHERICAL else INCONCLUSIVE
+        return SphericityVerdict(status, blocked.subgoal, euler.euler, pairs, budget)
+    return SphericityVerdict(SPHERICAL, None, euler.euler, pairs, budget)
 
 
 def check_spherical_bounded(
@@ -522,37 +498,39 @@ def check_spherical_bounded(
     homotopic to each other; arbitrary pairs follow by transitivity. This
     covers exactly the walk pairs of length at most ``max_len`` without
     searching the quadratic pair space directly. With a ``collector``, the
-    nontrivial certificates produced along the way are appended to it.
+    nontrivial certificates produced along the way are appended to it. The
+    first collapse or pair left uncertified is the witness, and the Euler
+    reading tells not spherical from inconclusive.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     budget = budget or default_budget(m)
     if budget.max_len < max_len:
         budget = SearchBudget(max_len, budget.max_states)
+    euler = check_spherical_euler(m)
     certifier = _Certifier(m, budget)
     pairs = 0
-    for x in range(m.graph.node_count):
-        walks = sorted(iter_walks_up_to(m.graph, max_len, x, None, symmetric=True), key=_end)
-        for _, group in groupby(walks, key=_end):
-            normal_forms: dict[tuple, Walk] = {}
-            for w in group:
-                pairs += 1
-                try:
+    try:
+        for x in range(m.graph.node_count):
+            walks = sorted(iter_walks_up_to(m.graph, max_len, x, None, symmetric=True), key=_end)
+            for _, group in groupby(walks, key=_end):
+                normal_forms: dict[tuple, Walk] = {}
+                for w in group:
+                    pairs += 1
                     nf, _, moves = certifier.normal_form(w)
-                except _Blocked as blocked:
-                    return _failure_verdict(m, blocked.subgoal, budget, pairs)
-                if collector is not None and moves:
-                    collector.append(HomotopyCertificate(w, nf, moves))
-                normal_forms.setdefault(nf.key(), nf)
-            reps = list(normal_forms.values())
-            for other in reps[1:]:
-                pairs += 1
-                cert, _ = _bfs(certifier.engine, reps[0], other, budget)
-                if cert is None:
-                    return _failure_verdict(m, (reps[0], other), budget, pairs)
-                if collector is not None:
-                    collector.append(cert)
-    return SphericityVerdict(SPHERICAL, None, _euler_if_connected(m), pairs, budget)
+                    if collector is not None and moves:
+                        collector.append(HomotopyCertificate(w, nf, moves))
+                    normal_forms.setdefault(nf.key(), nf)
+                reps = list(normal_forms.values())
+                for other in reps[1:]:
+                    pairs += 1
+                    cert = certifier.prove(reps[0], other)
+                    if collector is not None:
+                        collector.append(cert)
+    except _Blocked as blocked:
+        status = NOT_SPHERICAL if euler.status == NOT_SPHERICAL else INCONCLUSIVE
+        return SphericityVerdict(status, blocked.subgoal, euler.euler, pairs, budget)
+    return SphericityVerdict(SPHERICAL, None, euler.euler, pairs, budget)
 
 
 def check_spherical_euler(m: RotationMap) -> SphericityVerdict:

@@ -252,7 +252,7 @@ def reference_normal_form(m, w: Walk, budget) -> HomotopyNormalForm | Inconclusi
             searches[loop.key()] = prove_homotopic(m, loop, point, budget)
         if searches[loop.key()] is None:
             # the public prover drops the search's exhausted flag
-            raise _Blocked(loop, _bfs(_MoveEngine(m), loop, point, budget)[1])
+            raise _Blocked((loop, point), _bfs(_MoveEngine(m), loop, point, budget)[1])
         return searches[loop.key()].moves
 
     def collapse(w: Walk, at: int, end: int) -> list[HomotopyMove]:

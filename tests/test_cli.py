@@ -222,6 +222,24 @@ def test_duplicate_rotation_keys_exit_3(tmp_path, capsys, monkeypatch):
     assert report["diagnostics"] == ["rotation keys '1' and '01' both name node 1"]
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"nodes": 1, "edges": [[0, 0]], "rotation": {"0": ["e0+", "e0-"], "0": []}}', "0"),
+        ('{"nodes": 1, "nodes": 3, "edges": [[0, 2]]}', "nodes"),
+    ],
+    ids=["rotation", "nodes"],
+)
+def test_repeated_json_keys_exit_3(tmp_path, capsys, monkeypatch, text, key):
+    # plain JSON parsing would keep the last value and read another document
+    (tmp_path / "dup.json").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run(["validate", "dup.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_BAD_SCHEMA
+    assert report["diagnostics"] == [f"key {key!r} repeated in one JSON object"]
+
+
 def test_node_out_of_range_exits_3(capsys, monkeypatch):
     _, code = _run(["walks", "digon.json", "--from", "0", "--to", "9"], capsys, monkeypatch)
     assert code == EXIT_BAD_SCHEMA

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -253,3 +254,16 @@ def test_long_path_enumerates_without_recursion():
     path = tuple(Dart(i) for i in range(n - 1))
     for symmetric in (False, True):
         assert [w.steps for w in enumerate_all_qswalks(g, 0, n - 1, symmetric)] == [path]
+
+
+def test_huge_length_cap_costs_only_the_walks_found():
+    # the search keeps what it finds, not one slot per possible length
+    g = build_graph(2, [(0, 1)])
+    tracemalloc.start()
+    try:
+        walks = list(iter_walks_up_to(g, 10**6, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [w.steps for w in walks] == [(Dart(0),)]
+    assert peak < 5 * 2**20

@@ -39,3 +39,23 @@ def test_no_function_calls_itself():
         for call in _self_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert found == []
+
+
+def _call_sites(tree: ast.AST, callee: str):
+    """The qualified name of the function around each call of ``callee`` by name."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee:
+            yield scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def test_homotopy_searches_and_reads_euler_in_one_place():
+    # a failed pair search has one hook: _Certifier.prove raising _Blocked
+    path = SOURCE_DIR / "homotopy.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert list(_call_sites(tree, "_bfs")) == ["_Certifier.prove"]
+    assert list(_call_sites(tree, "euler_characteristic")) == ["check_spherical_euler"]
