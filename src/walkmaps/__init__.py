@@ -35,7 +35,6 @@ from .walk import (
     occurs,
     parse_walk,
     prepend,
-    single_step,
     split_at,
     suffix_of,
     trivial,

@@ -235,7 +235,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="walkmaps", description="Walks, rewriting and embeddings of multigraphs.")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     parser.add_argument("--seed", help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="cmd")
+    sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="validate a map file")
     p.add_argument("file")
@@ -281,8 +281,6 @@ def run(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     if args.seed is not None:
         parser.error("--seed is reserved: all algorithms are deterministic")
-    if args.cmd is None:
-        parser.error("a command is required")
 
     started = time.perf_counter()
     diagnostics: list[str] = []
@@ -419,36 +417,33 @@ def _dispatch(args, diagnostics: list[str]) -> tuple[dict, int]:
             result["certificates_path"] = args.certificates
         return result, EXIT_OK if cert is not None else EXIT_NEGATIVE
 
-    if args.cmd == "check-spherical":
-        m = doc.require_map()
-        collector = [] if args.certificates else None
-        if args.method == "euler":
-            verdict = check_spherical_euler(m)
-        elif args.method == "bounded":
-            # --max-len bounds the enumerated walks; the search budget keeps
-            # its own (at least as large) length cap
-            bound = args.max_len if args.max_len is not None else 2 * g.node_count
-            _check_search_size(g, range(g.node_count), bound, True)
-            budget = _budget_from(args, m, use_max_len=False)
-            verdict = check_spherical_bounded(m, bound, budget, collector)
-        else:
-            budget = _budget_from(args, m)
-            verdict = check_spherical_quasi(m, budget, collector)
-        result = {
-            "status": verdict.status,
-            "method": args.method,
-            "euler_characteristic": verdict.euler,
-            "pairs_checked": verdict.pairs_checked,
-            "witness": None
-            if verdict.witness is None
-            else [compact(verdict.witness[0]), compact(verdict.witness[1])],
-        }
-        if collector is not None:
-            _write_certificates(args.certificates, collector)
-            result["certificates_path"] = args.certificates
-        return result, EXIT_OK if verdict.status == "spherical" else EXIT_NEGATIVE
-
-    raise SchemaError(f"unknown command {args.cmd!r}")
+    m = doc.require_map()  # check-spherical: argparse admits no other command
+    collector = [] if args.certificates else None
+    if args.method == "euler":
+        verdict = check_spherical_euler(m)
+    elif args.method == "bounded":
+        # --max-len bounds the enumerated walks; the search budget keeps
+        # its own (at least as large) length cap
+        bound = args.max_len if args.max_len is not None else 2 * g.node_count
+        _check_search_size(g, range(g.node_count), bound, True)
+        budget = _budget_from(args, m, use_max_len=False)
+        verdict = check_spherical_bounded(m, bound, budget, collector)
+    else:
+        budget = _budget_from(args, m)
+        verdict = check_spherical_quasi(m, budget, collector)
+    result = {
+        "status": verdict.status,
+        "method": args.method,
+        "euler_characteristic": verdict.euler,
+        "pairs_checked": verdict.pairs_checked,
+        "witness": None
+        if verdict.witness is None
+        else [compact(verdict.witness[0]), compact(verdict.witness[1])],
+    }
+    if collector is not None:
+        _write_certificates(args.certificates, collector)
+        result["certificates_path"] = args.certificates
+    return result, EXIT_OK if verdict.status == "spherical" else EXIT_NEGATIVE
 
 
 def _move_json(mv) -> dict:

@@ -7,9 +7,10 @@ surface. Faces are the orbits of the tracing successor
     next(d) = rotation_at(head(d)).successor(reverse(d))
 
 and together their boundaries use every dart exactly once; a map checks its
-orders before it traces, so ``next`` is a permutation. Between two positions
-on one face boundary there are two walks in the symmetrised graph, one with
-and one against tracing order: the segment pairs walk homotopy may exchange.
+orders before it traces, so ``next`` is a permutation. One ordered pass
+traces each face from its smallest dart. Between two positions on one face
+boundary there are two walks in the symmetrised graph, one with and one
+against tracing order: the segment pairs walk homotopy may exchange.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def build_rotation_map(g: Graph, rotation: Mapping[int, Sequence[Dart]]) -> Rota
 class Face:
     """A face of the embedding: one orbit of the tracing successor.
 
-    The boundary is cyclic; it is stored rotated so its smallest dart comes
-    first, making face identities independent of where tracing started.
+    The boundary is cyclic; it starts at its smallest dart, where tracing
+    started, so face identities are canonical for a given map.
     """
 
     id: int
@@ -113,26 +114,23 @@ class BoundaryWalks(NamedTuple):
 def trace_faces(m: RotationMap) -> tuple[Face, ...]:
     """All faces of the map; their boundaries partition the dart universe.
 
-    Faces are numbered in order of their smallest contained dart, so the
-    result is canonical for a given map.
+    A pass over the darts in (edge, orientation) order traces the orbit of each
+    dart not yet seen, which is its orbit's smallest: every smaller dart lies in
+    an orbit already traced. So faces start at, and are numbered by, that dart.
     """
-    g = m.graph
-    pending = set(symmetrise(g))
-    orbits: list[tuple[Dart, ...]] = []
-    for start in sorted(pending, key=lambda d: d.sort_key):
-        if start not in pending:
+    seen: set[Dart] = set()
+    faces: list[Face] = []
+    for start in symmetrise(m.graph):
+        if start in seen:
             continue
         orbit = [start]
-        pending.discard(start)
         d = m.face_successor(start)
         while d != start:
             orbit.append(d)
-            pending.discard(d)
             d = m.face_successor(d)
-        low = min(range(len(orbit)), key=lambda i: orbit[i].sort_key)
-        orbits.append(tuple(orbit[low:] + orbit[:low]))
-    orbits.sort(key=lambda b: b[0].sort_key)
-    return tuple(Face(i, b) for i, b in enumerate(orbits))
+        seen.update(orbit)
+        faces.append(Face(len(faces), tuple(orbit)))
+    return tuple(faces)
 
 
 def euler_characteristic(m: RotationMap) -> int:
@@ -148,35 +146,24 @@ def euler_characteristic(m: RotationMap) -> int:
     return g.node_count - g.edge_count + len(m.faces) + points
 
 
-def _cw_steps(boundary: tuple[Dart, ...], a: int, b: int) -> tuple[Dart, ...]:
-    n = len(boundary)
-    k = (b - a) % n
-    if k == 0 and a == b:
-        k = n  # same anchor: the full boundary loop
-    return tuple(boundary[(a + j) % n] for j in range(k))
-
-
-def _ccw_steps(boundary: tuple[Dart, ...], a: int, b: int) -> tuple[Dart, ...]:
-    n = len(boundary)
-    k = (a - b) % n  # same anchor: the trivial walk
-    return tuple(boundary[(a - 1 - j) % n].reverse() for j in range(k))
-
-
 def _boundary_segments(
     m: RotationMap, face: int, a: int, b: int
 ) -> tuple[tuple[Dart, ...], tuple[Dart, ...]]:
     """The darts ``(cw, ccw)`` of the two walks from position ``a`` to ``b`` of ``face``.
 
-    ``cw`` is never empty, so its first dart leaves the node under ``a``.
-    Raises ValueError for a face or position the map does not have.
+    ``cw`` is never empty: with ``a == b`` it is the whole boundary and ``ccw`` is
+    trivial. Raises ValueError for a face or position the map does not have.
     """
     if not (0 <= face < len(m.faces)):
         raise ValueError(f"no face {face}")
     boundary = m.faces[face].boundary
+    n = len(boundary)
     for pos in (a, b):
-        if not (0 <= pos < len(boundary)):
+        if not (0 <= pos < n):
             raise ValueError(f"anchor position {pos} outside boundary of face {face}")
-    return _cw_steps(boundary, a, b), _ccw_steps(boundary, a, b)
+    cw = tuple(boundary[(a + j) % n] for j in range((b - a) % n or n))
+    ccw = tuple(boundary[(a - 1 - j) % n].reverse() for j in range((a - b) % n))
+    return cw, ccw
 
 
 def boundary_walks(m: RotationMap, a: BoundaryAnchor, b: BoundaryAnchor) -> BoundaryWalks:

@@ -58,9 +58,10 @@ def parse_dart(text: str) -> Dart:
 class Graph:
     """Finite directed multigraph with dense node and edge identifiers.
 
-    Immutable after construction, which checks that edge ``i`` has id ``i``
-    and endpoints among the nodes; parallel edges and self-loops are allowed.
-    The per-node dart lists are built on first use, so parsing never pays for them.
+    Immutable after construction, which checks a non-negative node count,
+    and that edge ``i`` has id ``i`` and endpoints among the nodes; parallel
+    edges and self-loops are allowed. The per-node dart lists are built on
+    first use, so parsing never pays for them.
     """
 
     node_count: int
@@ -69,6 +70,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.node_count
+        if n < 0:
+            raise ValidationError(f"node count must be non-negative, got {n}")
         for i, e in enumerate(self.edges):
             if e.id != i:
                 raise ValidationError(f"edge {i}: id {e.id} does not match its position")

@@ -82,10 +82,6 @@ class ReductionTrace:
     origin: Walk
     steps: tuple[ReductionStep, ...]
 
-    @property
-    def final(self) -> Walk:
-        return self.steps[-1].after if self.steps else self.origin
-
     def replay(self) -> Walk:
         """Re-walk the chain, checking each link, and return the final walk."""
         at = self.origin

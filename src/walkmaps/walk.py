@@ -86,11 +86,6 @@ def trivial(g: Graph, x: int, symmetric: bool = False) -> Walk:
     return Walk(g, x, (), symmetric)
 
 
-def single_step(g: Graph, d: Dart, symmetric: bool = False) -> Walk:
-    """The one-edge walk traversing ``d``."""
-    return Walk(g, g.tail(d), (d,), symmetric)
-
-
 def prepend(d: Dart, w: Walk) -> Walk:
     """The walk stepping along ``d`` and then following ``w``."""
     g = w.graph
@@ -210,15 +205,16 @@ def parse_walk(g: Graph, text: str, symmetric: bool = True) -> Walk:
 
     A bare node number denotes the trivial walk. Adjacency violations and
     unknown edges surface as ValidationError from the walk constructor.
+    Error positions index ``text``, leading blanks included.
     """
-    body = text.strip()
-    head, sep, rest = body.partition(":")
+    lead = len(text) - len(text.lstrip())
+    head, sep, rest = text.strip().partition(":")
     if not head.isdecimal():
-        raise WalkSpecError(text, 0, "expected a start node number")
+        raise WalkSpecError(text, lead, "expected a start node number")
     start = int(head)
     darts: list[Dart] = []
     if sep and rest:
-        offset = len(head) + 1
+        offset = lead + len(head) + 1
         for piece in rest.split(","):
             try:
                 darts.append(parse_dart(piece))

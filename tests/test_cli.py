@@ -146,6 +146,88 @@ def test_foreign_rotation_dart_exits_4(tmp_path, capsys, monkeypatch):
     assert any("node 0" in d and "e9+" in d for d in report["diagnostics"])
 
 
+BAD_DOCUMENTS = [
+    ("no-nodes", {"edges": []}, EXIT_BAD_SCHEMA, "missing field 'nodes'"),
+    ("negative-nodes", {"nodes": -1, "edges": []}, EXIT_BAD_SCHEMA, "field 'nodes' must be"),
+    ("boolean-nodes", {"nodes": True, "edges": []}, EXIT_BAD_SCHEMA, "field 'nodes' must be"),
+    ("edges-object", {"nodes": 1, "edges": {}}, EXIT_BAD_SCHEMA, "field 'edges' must be"),
+    ("edge-triple", {"nodes": 3, "edges": [[0, 1, 2]]}, EXIT_BAD_SCHEMA, "edge 0 must be a pair"),
+    ("rotation-list", {"nodes": 1, "edges": [], "rotation": []}, EXIT_BAD_SCHEMA, "field 'rotation' must be"),
+    (
+        "rotation-not-list",
+        {"nodes": 1, "edges": [[0, 0]], "rotation": {"0": "e0+"}},
+        EXIT_BAD_ROTATION,
+        "rotation at node 0 must be a list",
+    ),
+    (
+        "bad-dart-literal",
+        {"nodes": 1, "edges": [[0, 0]], "rotation": {"0": ["zz"]}},
+        EXIT_BAD_ROTATION,
+        "bad dart literal 'zz'",
+    ),
+    (
+        "unknown-rotation-node",
+        {"nodes": 1, "edges": [], "rotation": {"5": []}},
+        EXIT_BAD_ROTATION,
+        "rotation given for unknown node 5",
+    ),
+    ("unreadable", None, EXIT_BAD_SCHEMA, "cannot read doc.json"),  # no file written
+]
+
+
+@pytest.mark.parametrize(
+    "name,doc,expected_code,fragment", BAD_DOCUMENTS, ids=[c[0] for c in BAD_DOCUMENTS]
+)
+def test_bad_document_exits_with_its_code(
+    name, doc, expected_code, fragment, tmp_path, capsys, monkeypatch
+):
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run(["validate", "doc.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == expected_code
+    assert report["result"] == {}
+    [message] = report["diagnostics"]
+    assert fragment in message
+
+
+PATH_GRAPH = {"nodes": 3, "edges": [[0, 1], [1, 2]]}  # 0 -> 1 -> 2
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["homotopic", "digon.json", "--w1", "0:e0+", "--w2", "0:"], "walks do not share endpoints"),
+        (["normalize", "path.json", "--walk", "0:e1+"], "starts at 1, expected 0"),
+        (["normalize", "path.json", "--walk", "0:e9+"], "unknown edge in e9+"),
+        (["normalize", "path.json", "--walk", "7:"], "walk start 7 out of range"),
+    ],
+    ids=["homotopic-endpoints", "adjacency", "unknown-edge", "start-out-of-range"],
+)
+def test_library_value_error_exits_3(argv, fragment, tmp_path, capsys, monkeypatch):
+    (tmp_path / "path.json").write_text(json.dumps(PATH_GRAPH), encoding="utf-8")
+    (tmp_path / "digon.json").write_bytes((DATA_DIR / "digon.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code = run(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_BAD_SCHEMA
+    assert report["result"] == {}
+    [message] = report["diagnostics"]
+    assert fragment in message
+
+
+def test_walk_count_check_stops_where_no_walk_goes_on(tmp_path, capsys, monkeypatch):
+    # no walk on the path graph has 3 steps, so the count ends there, far below --max-len
+    (tmp_path / "path.json").write_text(json.dumps(PATH_GRAPH), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run(["walks", "path.json", "--from", "0", "--to", "2", "--max-len", "50"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert report["result"]["walks"] == ["0:e0+,e1+"]
+    assert report["result"]["count"] == 1
+
+
 def test_map_command_on_graph_only_document_exits_3(capsys, monkeypatch):
     _, code = _run(["faces", "pathloop.json"], capsys, monkeypatch)
     assert code == EXIT_BAD_SCHEMA
@@ -164,11 +246,13 @@ def test_seed_is_rejected(capsys):
 
 
 def test_bad_walk_spec_exits_64_with_caret(capsys, monkeypatch):
-    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
-    for spec in ("0:zz", "\u00b2:"):
+    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int();
+    # the caret column indexes the spec as given, leading blanks included
+    for spec, column in (("0:zz", 2), ("\u00b2:", 0), (" 0:zz", 3), ("  x:zz", 2)):
         report, code = _run(["normalize", "pathloop.json", "--walk", spec], capsys, monkeypatch)
         assert code == EXIT_USAGE
         assert any(d.strip() == "^" or d.endswith("^") for d in report["diagnostics"])
+        assert report["diagnostics"][-2:] == [spec, " " * column + "^"]
 
 
 def test_pretty_flag_does_not_change_exit_code_or_payload(capsys, monkeypatch):

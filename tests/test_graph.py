@@ -50,6 +50,14 @@ def test_graph_constructor_rejects_bad_edge_records(edges):
         Graph(2, edges)
 
 
+@pytest.mark.parametrize("node_count", [-1, -2])
+def test_graph_rejects_a_negative_node_count(node_count):
+    with pytest.raises(ValidationError, match="node count"):
+        build_graph(node_count, [])
+    with pytest.raises(ValidationError, match="node count"):
+        Graph(node_count, ())
+
+
 def test_loop_and_parallel_edges_are_allowed():
     build_graph(1, [(0, 0)])
     build_graph(2, [(0, 1), (0, 1)])

@@ -86,6 +86,12 @@ def test_apply_hcollapse_reports_mismatch():
     assert err.value.found == (Dart(1),)
 
 
+def test_apply_hcollapse_rejects_an_unknown_face():
+    move = HomotopyMove(face=99, a=0, b=0, prefix_len=0, direction=CW_TO_CCW)
+    with pytest.raises(ValueError, match="no face 99"):
+        apply_hcollapse(digon_map(), digon_edge_walk(0), move)
+
+
 def test_prove_homotopic_reflexive():
     m = digon_map()
     w = digon_edge_walk(0)
@@ -207,6 +213,8 @@ def test_whisker_rejects_non_composable():
     bad = Walk(m.graph, 0, (Dart(0),), symmetric=True)
     with pytest.raises(ValueError):
         whisker(bad, c, None)
+    with pytest.raises(ValueError, match="right whisker"):
+        whisker(None, c, bad)  # c ends at node 1, bad starts at node 0
 
 
 def test_normalize_homotopy_trivial():
@@ -382,6 +390,13 @@ def test_replay_reads_the_faces_traced_with_the_map(monkeypatch):
 def test_search_budget_rejects_negative_limits(fields):
     with pytest.raises(ValueError):
         SearchBudget(**fields)
+
+
+def test_check_spherical_bounded_raises_a_short_budget_to_max_len():
+    # the search must reach every enumerated walk, so its length cap is at least max_len
+    verdict = check_spherical_bounded(digon_map(), 3, SearchBudget(1))
+    assert verdict.status == "spherical"
+    assert verdict.budget == SearchBudget(3)
 
 
 def test_check_spherical_bounded_rejects_negative_max_len():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import walkmaps
@@ -59,3 +61,24 @@ def test_homotopy_searches_and_reads_euler_in_one_place():
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert list(_call_sites(tree, "_bfs")) == ["_Certifier.prove"]
     assert list(_call_sites(tree, "euler_characteristic")) == ["check_spherical_euler"]
+
+
+def test_every_export_is_used():
+    # a public name that nothing reads is dead code kept alive by the export list
+    tests = Path(__file__).parent
+    files = [
+        path
+        for folder in (SOURCE_DIR, tests, tests.parent / "bench")
+        for path in sorted(folder.rglob("*.py"))
+        if path != SOURCE_DIR / "__init__.py"
+    ]
+    lines = [line for path in files for line in path.read_text(encoding="utf-8").splitlines()]
+    unused = []
+    for name in walkmaps.__all__:
+        if inspect.ismodule(getattr(walkmaps, name)):
+            continue
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"\s*(def|class) {name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []

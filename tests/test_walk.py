@@ -16,6 +16,7 @@ from walkmaps import (
     membership_census,
     occurs,
     parse_walk,
+    prepend,
     split_at,
     suffix_of,
     trivial,
@@ -91,6 +92,18 @@ def test_compose_rejects_mixed_universes():
     g = triangle_graph()
     with pytest.raises(ValueError, match="universe"):
         compose(trivial(g, 0), trivial(g, 0, symmetric=True))
+
+
+def test_compose_rejects_walks_on_different_graphs():
+    with pytest.raises(ValueError, match="different graphs"):
+        compose(trivial(triangle_graph(), 0), trivial(digon_graph(), 0))
+
+
+def test_prepend_checks_adjacency():
+    g = triangle_graph()
+    assert prepend(Dart(0), Walk(g, 1, (Dart(1),))) == Walk(g, 0, (Dart(0), Dart(1)))
+    with pytest.raises(ValueError, match="cannot prepend e1\\+"):
+        prepend(Dart(1), Walk(g, 1, (Dart(1),)))
 
 
 @given(composable_walk_pairs())
