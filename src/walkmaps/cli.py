@@ -465,8 +465,11 @@ def _write_certificates(path: str, certs) -> None:
         }
         for c in certs
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True))
+    except OSError as err:
+        raise UsageError(f"--certificates {path}: cannot write: {err.strerror}") from None
 
 
 def _check_cli_node(g: Graph, x: int, flag: str) -> None:

@@ -8,11 +8,14 @@ move sequences and every operation here keeps them replayable: reflexivity
 is the empty certificate, symmetry reverses and flips a move list,
 transitivity concatenates, and whiskering shifts move offsets.
 
-The relation itself is only searched, never decided. ``_Certifier.prove``
-is the one search entry: it returns a certificate or raises ``_Blocked``
-with the pair and whether the bounded closure was exhausted, which is kept
-apart from a disproof. The negative signal is the Euler characteristic,
-read only in ``check_spherical_euler``: 2 exactly on connected spheres.
+The relation itself is only searched, never decided. ``_Certifier`` holds
+one map's move table, and its ``prove`` is the one pair search: it returns
+a certificate or raises ``_Blocked`` with the pair and whether the bounded
+closure was exhausted, which is kept apart from a disproof. The quasi and
+bounded checkers run one decision loop and differ only in the walks they
+enumerate and whether each is first replaced by its normal form. The
+negative signal is the Euler characteristic, read only in
+``check_spherical_euler``: 2 exactly on connected spheres.
 
 A walk is certified homotopic to its normal form from the trace of
 ``rewrite.normalize``: each trace step deletes one loop, erased cycle by
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import rewrite
 from .embedding import RotationMap, _boundary_segments, euler_characteristic
@@ -190,97 +194,6 @@ def _darts(codes) -> tuple[Dart, ...]:
     return tuple(Dart(c >> 1, not c & 1) for c in codes)
 
 
-class _MoveEngine:
-    """Precomputed move table for one map: all segment exchange templates.
-
-    The search runs on integer darts (``_codes``): a state is the step
-    tuple of a walk, whose start every move keeps. Templates whose source
-    segment is nonempty are listed under the code of their first dart;
-    full-boundary insertions (the trivial source) under their anchor node.
-    A successor is a ``(face, a, b, direction)`` descriptor, the offset it
-    applies at and the resulting steps; ``HomotopyMove``s are built only
-    for the path a search returns.
-    """
-
-    def __init__(self, m: RotationMap):
-        g = m.graph
-        self.head = [g.head(d) for d in _darts(range(2 * g.edge_count))]
-        # entry: (src, dst, len(dst) - len(src), descriptor)
-        self.by_first_dart: list[list[tuple]] = [[] for _ in self.head]
-        self.insertions_by_node: list[list[tuple]] = [[] for _ in range(g.node_count)]
-        for face in m.faces:
-            for a in range(len(face)):
-                for b in range(len(face)):
-                    cw, ccw = map(_codes, _boundary_segments(m, face.id, a, b))
-                    for src, dst, direction in ((ccw, cw, CCW_TO_CW), (cw, ccw, CW_TO_CCW)):
-                        entry = (src, dst, len(dst) - len(src), (face.id, a, b, direction))
-                        if src:
-                            self.by_first_dart[src[0]].append(entry)
-                        else:
-                            self.insertions_by_node[g.tail(face.boundary[a])].append(entry)
-
-    def successors(self, start: int, steps: tuple[int, ...], max_len: int):
-        """All (descriptor, offset, steps) one move away, length-capped."""
-        length = len(steps)
-        at = start
-        for i in range(length + 1):
-            for _, dst, grow, desc in self.insertions_by_node[at]:
-                if length + grow <= max_len:
-                    yield desc, i, steps[:i] + dst + steps[i:]
-            if i < length:
-                at = self.head[steps[i]]
-        for i in range(length):
-            for src, dst, grow, desc in self.by_first_dart[steps[i]]:
-                ls = len(src)
-                if i + ls <= length and length + grow <= max_len and steps[i : i + ls] == src:
-                    yield desc, i, steps[:i] + dst + steps[i + ls :]
-
-
-def _bfs(
-    engine: _MoveEngine, w1: Walk, w2: Walk, budget: SearchBudget
-) -> tuple[Optional[HomotopyCertificate], bool]:
-    """Bidirectional search for a move path from ``w1`` to ``w2``.
-
-    Returns (certificate, exhausted). ``exhausted`` is True when one side's
-    reachable set within the length cap was fully explored, i.e. the failure
-    is not a budget artifact. A certificate found is always replay-valid.
-    """
-    if w1.key() == w2.key():
-        return HomotopyCertificate(w1, w2, ()), True
-    start = w1.start
-    origins = (_codes(w1.steps), _codes(w2.steps))
-    # parent maps: steps -> (parent steps, descriptor, offset) of the move from the parent
-    parents = ({origins[0]: None}, {origins[1]: None})
-    frontiers = (deque([origins[0]]), deque([origins[1]]))
-    visited = 2
-
-    def path(side: int, key) -> list[HomotopyMove]:
-        # the moves from the side's origin to ``key``
-        moves = []
-        while parents[side][key] is not None:
-            key, (face, a, b, direction), i = parents[side][key]
-            moves.append(HomotopyMove(face, a, b, i, direction))
-        moves.reverse()
-        return moves
-
-    while frontiers[0] and frontiers[1]:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        own, other = parents[side], parents[1 - side]
-        current = frontiers[side].popleft()
-        for desc, i, nxt in engine.successors(start, current, budget.max_len):
-            if nxt in own:
-                continue
-            own[nxt] = (current, desc, i)
-            if nxt in other:
-                moves = path(0, nxt) + [mv.inverted() for mv in reversed(path(1, nxt))]
-                return HomotopyCertificate(w1, w2, tuple(moves)), True
-            frontiers[side].append(nxt)
-            visited += 1
-            if visited > budget.max_states:
-                return None, False
-    return None, True
-
-
 def prove_homotopic(
     m: RotationMap, w1: Walk, w2: Walk, budget: Optional[SearchBudget] = None
 ) -> Optional[HomotopyCertificate]:
@@ -355,28 +268,92 @@ class _Blocked(Exception):
 
 
 class _Certifier:
-    """The one search entry on one map: ``prove`` certifies a pair or raises _Blocked.
+    """One map's move table and its one pair search, under one budget.
 
-    Every search goes through ``prove``, and its one failure, _Blocked with
-    the pair and the ``exhausted`` flag, ends the caller. ``normal_form``
-    reads the ``rewrite.normalize`` trace: each step deletes one loop. One
-    pass over its darts keeps the loop-erased path; a dart back onto the
-    path closes a simple cycle, which one ``prove`` against the trivial
-    walk collapses at its offset before the path is cut back. Successful
-    collapses are memoized per cycle.
+    The table lists every face's segment exchanges on integer darts
+    (``_codes``): nonempty sources under their first dart, full-boundary
+    insertions (the trivial source) under their anchor node. A search state
+    is a walk's step tuple, whose start every move keeps; ``HomotopyMove``s
+    are built only for the path found. ``prove``, a bidirectional BFS, is
+    the only pair search: it returns a replay-valid certificate or raises
+    _Blocked with the pair and whether one side's reachable set within the
+    length cap was exhausted, which is not a disproof.
+
+    ``normal_form`` reads the ``rewrite.normalize`` trace: each step
+    deletes one loop. One pass over its darts keeps the loop-erased path; a
+    dart back onto the path closes a simple cycle, which one ``prove``
+    against the trivial walk collapses at its offset before the path is cut
+    back. Successful collapses are memoized per cycle.
     """
 
     def __init__(self, m: RotationMap, budget: SearchBudget):
+        g = m.graph
         self.budget = budget
-        self.engine = _MoveEngine(m)
+        self.head = [g.head(d) for d in _darts(range(2 * g.edge_count))]
+        # entry: (src, dst, len(dst) - len(src), (face, a, b, direction))
+        self.by_first_dart: list[list[tuple]] = [[] for _ in self.head]
+        self.insertions_by_node: list[list[tuple]] = [[] for _ in range(g.node_count)]
+        for face in m.faces:
+            for a in range(len(face)):
+                for b in range(len(face)):
+                    cw, ccw = map(_codes, _boundary_segments(m, face.id, a, b))
+                    for src, dst, direction in ((ccw, cw, CCW_TO_CW), (cw, ccw, CW_TO_CCW)):
+                        entry = (src, dst, len(dst) - len(src), (face.id, a, b, direction))
+                        if src:
+                            self.by_first_dart[src[0]].append(entry)
+                        else:
+                            self.insertions_by_node[g.tail(face.boundary[a])].append(entry)
         self._collapses: dict[tuple, tuple[HomotopyMove, ...]] = {}
+
+    def successors(self, start: int, steps: tuple[int, ...]):
+        """All ((face, a, b, direction), offset, steps) one move away, length-capped."""
+        max_len = self.budget.max_len
+        length = len(steps)
+        at = start
+        for i in range(length + 1):
+            for _, dst, grow, desc in self.insertions_by_node[at]:
+                if length + grow <= max_len:
+                    yield desc, i, steps[:i] + dst + steps[i:]
+            if i < length:
+                at = self.head[steps[i]]
+        for i in range(length):
+            for src, dst, grow, desc in self.by_first_dart[steps[i]]:
+                ls = len(src)
+                if i + ls <= length and length + grow <= max_len and steps[i : i + ls] == src:
+                    yield desc, i, steps[:i] + dst + steps[i + ls :]
 
     def prove(self, w1: Walk, w2: Walk) -> HomotopyCertificate:
         """A certificate from ``w1`` to ``w2``; raises _Blocked when the search finds none."""
-        cert, exhausted = _bfs(self.engine, w1, w2, self.budget)
-        if cert is None:
-            raise _Blocked((w1, w2), exhausted)
-        return cert
+        if w1.key() == w2.key():
+            return HomotopyCertificate(w1, w2, ())
+        # parent maps: steps -> (parent steps, descriptor, offset) of the move from the parent
+        parents = ({_codes(w1.steps): None}, {_codes(w2.steps): None})
+        frontiers = (deque(parents[0]), deque(parents[1]))
+
+        def path(side: int, key) -> list[HomotopyMove]:
+            # the moves from the side's origin to ``key``
+            moves = []
+            while parents[side][key] is not None:
+                key, (face, a, b, direction), i = parents[side][key]
+                moves.append(HomotopyMove(face, a, b, i, direction))
+            moves.reverse()
+            return moves
+
+        while frontiers[0] and frontiers[1]:
+            side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+            own, other = parents[side], parents[1 - side]
+            current = frontiers[side].popleft()
+            for desc, i, nxt in self.successors(w1.start, current):
+                if nxt in own:
+                    continue
+                own[nxt] = (current, desc, i)
+                if nxt in other:
+                    moves = path(0, nxt) + [mv.inverted() for mv in reversed(path(1, nxt))]
+                    return HomotopyCertificate(w1, w2, tuple(moves))
+                frontiers[side].append(nxt)
+                if len(own) + len(other) > self.budget.max_states:
+                    raise _Blocked((w1, w2), False)
+        raise _Blocked((w1, w2), True)
 
     def normal_form(self, w: Walk) -> tuple[Walk, rewrite.ReductionTrace, tuple[HomotopyMove, ...]]:
         """``rewrite.normalize(w)`` plus the moves deforming ``w`` into its normal form."""
@@ -462,24 +439,7 @@ def check_spherical_quasi(
     along the way are appended to ``collector`` when one is given.
     """
     budget = budget or default_budget(m)
-    euler = check_spherical_euler(m)
-    certifier = _Certifier(m, budget)
-    pairs = 0
-    try:
-        for x in range(m.graph.node_count):
-            # one search per start node; the stable sort keeps each end's walks in order
-            walks = sorted(enumerate_all_qswalks(m.graph, x, None, symmetric=True), key=_end)
-            for _, group in groupby(walks, key=_end):
-                base, *others = group
-                for other in others:
-                    pairs += 1
-                    cert = certifier.prove(base, other)
-                    if collector is not None:
-                        collector.append(cert)
-    except _Blocked as blocked:
-        status = NOT_SPHERICAL if euler.status == NOT_SPHERICAL else INCONCLUSIVE
-        return SphericityVerdict(status, blocked.subgoal, euler.euler, pairs, budget)
-    return SphericityVerdict(SPHERICAL, None, euler.euler, pairs, budget)
+    return _check_pairs(m, budget, partial(enumerate_all_qswalks, m.graph), False, collector)
 
 
 def check_spherical_bounded(
@@ -502,26 +462,43 @@ def check_spherical_bounded(
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     budget = budget or default_budget(m)
-    if budget.max_len < max_len:
-        budget = SearchBudget(max_len, budget.max_states)
+    budget = SearchBudget(max(budget.max_len, max_len), budget.max_states)
+    return _check_pairs(m, budget, partial(iter_walks_up_to, m.graph, max_len), True, collector)
+
+
+def _check_pairs(
+    m: RotationMap,
+    budget: SearchBudget,
+    walks_from: Callable[..., Iterable[Walk]],
+    normalizing: bool,
+    collector: Optional[list[HomotopyCertificate]],
+) -> SphericityVerdict:
+    """Both checkers' loop over ``walks_from(x, None, symmetric=True)`` for each start ``x``.
+
+    With ``normalizing``, each walk counts as a pair and is replaced by its
+    certified normal form before the distinct ones are proved homotopic.
+    """
     euler = check_spherical_euler(m)
     certifier = _Certifier(m, budget)
     pairs = 0
     try:
         for x in range(m.graph.node_count):
-            walks = sorted(iter_walks_up_to(m.graph, max_len, x, None, symmetric=True), key=_end)
+            # one enumeration per start node; the stable sort keeps each end's walks in order
+            walks = sorted(walks_from(x, None, symmetric=True), key=_end)
             for _, group in groupby(walks, key=_end):
-                normal_forms: dict[tuple, Walk] = {}
+                reps: dict[tuple, Walk] = {}
                 for w in group:
+                    if normalizing:
+                        pairs += 1
+                        nf, _, moves = certifier.normal_form(w)
+                        if collector is not None and moves:
+                            collector.append(HomotopyCertificate(w, nf, moves))
+                        w = nf
+                    reps.setdefault(w.key(), w)
+                base, *others = reps.values()
+                for other in others:
                     pairs += 1
-                    nf, _, moves = certifier.normal_form(w)
-                    if collector is not None and moves:
-                        collector.append(HomotopyCertificate(w, nf, moves))
-                    normal_forms.setdefault(nf.key(), nf)
-                reps = list(normal_forms.values())
-                for other in reps[1:]:
-                    pairs += 1
-                    cert = certifier.prove(reps[0], other)
+                    cert = certifier.prove(base, other)
                     if collector is not None:
                         collector.append(cert)
     except _Blocked as blocked:

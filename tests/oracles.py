@@ -34,7 +34,7 @@ from walkmaps import (
     prove_homotopic,
     trivial,
 )
-from walkmaps.homotopy import _bfs, _Blocked, _MoveEngine, default_budget
+from walkmaps.homotopy import _Blocked, _Certifier, default_budget
 
 
 def brute_walks(
@@ -241,19 +241,18 @@ def reference_normal_form(m, w: Walk, budget) -> HomotopyNormalForm | Inconclusi
     which leaves a quasi-simple loop ``first dart . normal form`` for one
     search against the trivial walk. Inner moves apply one step in.
     """
-    searches: dict[tuple, HomotopyCertificate | None] = {}
+    certifier = _Certifier(m, budget)
+    searches: dict[tuple, tuple[HomotopyMove, ...]] = {}
 
     def shifted(moves, k: int) -> list[HomotopyMove]:
         return [HomotopyMove(mv.face, mv.a, mv.b, mv.prefix_len + k, mv.direction) for mv in moves]
 
     def search(loop: Walk):
-        point = trivial(loop.graph, loop.start, symmetric=True)
+        # a failed search raises _Blocked, which carries its exhausted flag
         if loop.key() not in searches:
-            searches[loop.key()] = prove_homotopic(m, loop, point, budget)
-        if searches[loop.key()] is None:
-            # the public prover drops the search's exhausted flag
-            raise _Blocked((loop, point), _bfs(_MoveEngine(m), loop, point, budget)[1])
-        return searches[loop.key()].moves
+            point = trivial(loop.graph, loop.start, symmetric=True)
+            searches[loop.key()] = certifier.prove(loop, point).moves
+        return searches[loop.key()]
 
     def collapse(w: Walk, at: int, end: int) -> list[HomotopyMove]:
         x, moves, piece = w.node_at(at), [], at

@@ -352,6 +352,19 @@ def test_check_spherical_certificates_dump(tmp_path, capsys, monkeypatch):
     assert certs and all({"source", "target", "moves"} <= set(c) for c in certs)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["homotopic", "digon.json", "--w1", "0:e0+", "--w2", "0:e1+"], ["check-spherical", "digon.json"]],
+    ids=["homotopic", "check-spherical"],
+)
+def test_unwritable_certificates_path_exits_64(argv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "certs.json"
+    report, code = _run(argv + ["--certificates", str(out)], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert report["result"] == {} and str(out) in report["diagnostics"][0]
+    assert not out.parent.exists()
+
+
 def test_homotopic_on_graph_only_document_exits_3(capsys, monkeypatch):
     _, code = _run(
         ["homotopic", "pathloop.json", "--w1", "0:e0+", "--w2", "0:e0+"], capsys, monkeypatch

@@ -470,7 +470,7 @@ def test_random_maps_produce_replayable_results():
 def test_engine_successors_are_walks_one_move_away(data):
     # successor states skip Walk validation; decoded, each must be a valid
     # walk with the same endpoints, and the move it names must produce it
-    from walkmaps.homotopy import HomotopyMove, _codes, _darts, _MoveEngine
+    from walkmaps.homotopy import HomotopyMove, SearchBudget, _Certifier, _codes, _darts
 
     from .strategies import graphs
 
@@ -486,7 +486,8 @@ def test_engine_successors_are_walks_one_move_away(data):
         steps.append(data.draw(st.sampled_from(options)))
     w = Walk(g, x, tuple(steps), symmetric=True)
     max_len = data.draw(st.integers(w.length, w.length + 6))
-    for (face, a, b, direction), i, nxt in _MoveEngine(m).successors(x, _codes(w.steps), max_len):
+    successors = _Certifier(m, SearchBudget(max_len)).successors(x, _codes(w.steps))
+    for (face, a, b, direction), i, nxt in successors:
         moved = Walk(g, x, _darts(nxt), symmetric=True)
         assert moved.end == w.end and moved.length <= max_len
         assert apply_hcollapse(m, w, HomotopyMove(face, a, b, i, direction)) == moved
