@@ -24,48 +24,34 @@ from .graph import (
     validate_cyclic_order,
 )
 from .walk import (
-    Split,
     Walk,
     WalkSpecError,
     compact,
     compose,
-    is_prefix,
     is_quasi_simple,
     membership_census,
     occurs,
     parse_walk,
-    prepend,
-    split_at,
-    suffix_of,
     trivial,
-    verbose,
 )
 from .enumeration import (
-    count_walks_of_length,
     enumerate_all_qswalks,
-    enumerate_qswalks_of_length,
-    iter_walks_of_length,
     iter_walks_up_to,
     walk_counts,
 )
 from .rewrite import (
     ReductionStep,
     ReductionTrace,
-    WalkClass,
     applicable_reductions,
-    classify,
     is_normal,
     normalize,
     progress,
     verify_step,
 )
 from .embedding import (
-    BoundaryAnchor,
-    BoundaryWalks,
     Face,
     RotationError,
     RotationMap,
-    boundary_walks,
     build_rotation_map,
     euler_characteristic,
     trace_faces,
@@ -83,7 +69,6 @@ from .homotopy import (
     check_spherical_quasi,
     concat_certificates,
     default_budget,
-    loop_collapse_cert,
     normalize_homotopy,
     prove_homotopic,
     replay_certificate,

@@ -10,13 +10,14 @@ and together their boundaries use every dart exactly once; a map checks its
 orders before it traces, so ``next`` is a permutation. One ordered pass
 traces each face from its smallest dart. Between two positions on one face
 boundary there are two walks in the symmetrised graph, one with and one
-against tracing order: the segment pairs walk homotopy may exchange.
+against tracing order; ``_boundary_segments`` cuts their darts, the segment
+pairs walk homotopy may exchange.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .graph import (
     CyclicOrder,
@@ -27,7 +28,6 @@ from .graph import (
     symmetrise,
     validate_cyclic_order,
 )
-from .walk import Walk
 
 
 class RotationError(ValidationError):
@@ -99,18 +99,6 @@ class Face:
         return len(self.boundary)
 
 
-class BoundaryAnchor(NamedTuple):
-    """A position on a face boundary (faces of general maps may repeat nodes)."""
-
-    face: int
-    position: int
-
-
-class BoundaryWalks(NamedTuple):
-    cw: Walk
-    ccw: Walk
-
-
 def trace_faces(m: RotationMap) -> tuple[Face, ...]:
     """All faces of the map; their boundaries partition the dart universe.
 
@@ -165,17 +153,3 @@ def _boundary_segments(
     ccw = tuple(boundary[(a - 1 - j) % n].reverse() for j in range((a - b) % n))
     return cw, ccw
 
-
-def boundary_walks(m: RotationMap, a: BoundaryAnchor, b: BoundaryAnchor) -> BoundaryWalks:
-    """The two boundary walks from anchor ``a`` to anchor ``b`` of one face.
-
-    ``cw`` reads the boundary darts in tracing order, ``ccw`` runs against
-    tracing order on reversed darts. Both start at the node under ``a`` and
-    end at the node under ``b``. With equal anchors, ``cw`` is the full
-    boundary loop and ``ccw`` the trivial walk.
-    """
-    if a.face != b.face:
-        raise ValueError(f"anchors lie on different faces ({a.face} != {b.face})")
-    cw, ccw = _boundary_segments(m, a.face, a.position, b.position)
-    start = m.graph.tail(cw[0])
-    return BoundaryWalks(Walk(m.graph, start, cw, True), Walk(m.graph, start, ccw, True))

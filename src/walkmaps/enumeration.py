@@ -13,7 +13,6 @@ lexicographic by (edge id, orientation) sequence.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from .graph import Dart, Graph, _check_node, incident_darts, out_darts
@@ -52,15 +51,6 @@ def _tree(
     return found
 
 
-def enumerate_qswalks_of_length(
-    g: Graph, m: int, x: int, y: int, symmetric: bool = False
-) -> list[Walk]:
-    """Exactly the quasi-simple walks of length ``m`` from ``x`` to ``y``."""
-    if m < 0:
-        raise ValueError("walk length must be non-negative")
-    return [w for w in enumerate_all_qswalks(g, x, y, symmetric) if w.length == m]
-
-
 def enumerate_all_qswalks(
     g: Graph, x: int, y: int | None = None, symmetric: bool = False
 ) -> list[Walk]:
@@ -84,28 +74,6 @@ def walk_counts(g: Graph, y: int | None = None, symmetric: bool = False) -> Iter
     while True:
         yield counts
         counts = [sum(counts[g.head(d)] for d in step_darts(g, v)) for v in range(g.node_count)]
-
-
-def count_walks_of_length(
-    g: Graph, n: int, x: int, y: int | None = None, symmetric: bool = False
-) -> int:
-    """Number of all walks of length ``n`` from ``x`` (to ``y`` when given)."""
-    if n < 0:
-        raise ValueError("walk length must be non-negative")
-    _check_node(g, x)
-    return next(islice(walk_counts(g, y, symmetric), n, None))[x]
-
-
-def iter_walks_of_length(
-    g: Graph, n: int, x: int, y: int | None = None, symmetric: bool = False
-) -> Iterator[Walk]:
-    """All walks of length exactly ``n`` from ``x`` (to ``y`` when given), lexicographic.
-
-    The whole search runs before the first walk is yielded.
-    """
-    for steps in _tree(g, x, y, symmetric, n, False):
-        if len(steps) == n:
-            yield Walk(g, x, steps, symmetric)
 
 
 def iter_walks_up_to(

@@ -220,7 +220,3 @@ class CyclicOrder:
     def successor(self, d: Dart) -> Dart:
         i = self.elements.index(d)
         return self.elements[(i + 1) % len(self.elements)]
-
-    def predecessor(self, d: Dart) -> Dart:
-        i = self.elements.index(d)
-        return self.elements[(i - 1) % len(self.elements)]

@@ -9,13 +9,16 @@ is the empty certificate, symmetry reverses and flips a move list,
 transitivity concatenates, and whiskering shifts move offsets.
 
 The relation itself is only searched, never decided. ``_Certifier`` holds
-one map's move table, and its ``prove`` is the one pair search: it returns
-a certificate or raises ``_Blocked`` with the pair and whether the bounded
-closure was exhausted, which is kept apart from a disproof. The quasi and
-bounded checkers run one decision loop and differ only in the walks they
-enumerate and whether each is first replaced by its normal form. The
-negative signal is the Euler characteristic, read only in
-``check_spherical_euler``: 2 exactly on connected spheres.
+one map's move table, and its ``prove`` is the one pair search. It grows a
+path of moves from each walk until the two meet at one walk, and joins the
+halves by symmetry and transitivity (``reverse_certificate`` and
+``concat_certificates``). It returns that certificate or raises
+``_Blocked`` with the pair and whether the bounded closure was exhausted,
+which is kept apart from a disproof. The quasi and bounded checkers run one
+decision loop and differ only in the walks they enumerate and whether each
+is first replaced by its normal form. The negative signal is the Euler
+characteristic, read only in ``check_spherical_euler``: 2 exactly on
+connected spheres.
 
 A walk is certified homotopic to its normal form from the trace of
 ``rewrite.normalize``: each trace step deletes one loop, erased cycle by
@@ -199,12 +202,15 @@ def prove_homotopic(
 ) -> Optional[HomotopyCertificate]:
     """Search for a homotopy certificate between two same-endpoint walks.
 
-    Returns None when the budget runs out or the bounded move closure is
-    exhausted; neither outcome is a disproof.
+    The length cap is raised to the longer walk, so that every move that
+    keeps a walk's length stays open. Returns None when the budget runs out
+    or the bounded move closure is exhausted; neither outcome is a disproof.
     """
     _check_pair(m, w1, w2)
+    budget = budget or default_budget(m)
+    budget = SearchBudget(max(budget.max_len, w1.length, w2.length), budget.max_states)
     try:
-        return _Certifier(m, budget or default_budget(m)).prove(w1, w2)
+        return _Certifier(m, budget).prove(w1, w2)
     except _Blocked:
         return None
 
@@ -223,15 +229,6 @@ def _check_pair(m: RotationMap, w1: Walk, w2: Walk) -> None:
         raise ValueError(
             f"walks do not share endpoints: ({w1.start},{w1.end}) vs ({w2.start},{w2.end})"
         )
-
-
-def loop_collapse_cert(
-    m: RotationMap, w: Walk, budget: Optional[SearchBudget] = None
-) -> Optional[HomotopyCertificate]:
-    """Certificate collapsing a loop to the trivial walk at its basepoint."""
-    if w.start != w.end:
-        raise ValueError("loop_collapse_cert requires a loop")
-    return prove_homotopic(m, w, trivial(w.graph, w.start, symmetric=True), budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,14 +327,13 @@ class _Certifier:
         parents = ({_codes(w1.steps): None}, {_codes(w2.steps): None})
         frontiers = (deque(parents[0]), deque(parents[1]))
 
-        def path(side: int, key) -> list[HomotopyMove]:
+        def path(side: int, key) -> tuple[HomotopyMove, ...]:
             # the moves from the side's origin to ``key``
             moves = []
             while parents[side][key] is not None:
                 key, (face, a, b, direction), i = parents[side][key]
                 moves.append(HomotopyMove(face, a, b, i, direction))
-            moves.reverse()
-            return moves
+            return tuple(reversed(moves))
 
         while frontiers[0] and frontiers[1]:
             side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
@@ -348,8 +344,11 @@ class _Certifier:
                     continue
                 own[nxt] = (current, desc, i)
                 if nxt in other:
-                    moves = path(0, nxt) + [mv.inverted() for mv in reversed(path(1, nxt))]
-                    return HomotopyCertificate(w1, w2, tuple(moves))
+                    # the half-paths meet at ``nxt``: transitivity after symmetry
+                    meet = Walk(w1.graph, w1.start, _darts(nxt), True)
+                    there = HomotopyCertificate(w1, meet, path(0, nxt))
+                    back = HomotopyCertificate(w2, meet, path(1, nxt))
+                    return concat_certificates(there, reverse_certificate(back))
                 frontiers[side].append(nxt)
                 if len(own) + len(other) > self.budget.max_states:
                     raise _Blocked((w1, w2), False)

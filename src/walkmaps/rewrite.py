@@ -1,4 +1,4 @@
-"""Loop reduction on walks: classifiers, one-step reducts, normalization.
+"""Loop reduction on walks: one-step reducts, normalization.
 
 The reduction relation has three rules:
 
@@ -28,31 +28,6 @@ from .walk import Walk, is_quasi_simple
 XI1 = "xi1"
 XI2 = "xi2"
 XI3 = "xi3"
-
-
-@dataclass(frozen=True, slots=True)
-class WalkClass:
-    """Basic structural predicates of a walk, computed together."""
-
-    trivial: bool
-    loop: bool
-    non_trivial: bool
-    no_reduce: bool
-    non_trivial_loop: bool
-
-
-def classify(w: Walk) -> WalkClass:
-    is_trivial = w.length == 0
-    is_loop = w.start == w.end
-    non_trivial = w.length >= 1
-    no_reduce = is_trivial or (w.length == 1 and not is_loop)
-    return WalkClass(
-        trivial=is_trivial,
-        loop=is_loop,
-        non_trivial=non_trivial,
-        no_reduce=no_reduce,
-        non_trivial_loop=non_trivial and is_loop,
-    )
 
 
 @dataclass(frozen=True, slots=True)

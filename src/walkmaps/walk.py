@@ -1,4 +1,4 @@
-"""Walks in a graph: composition, node membership, quasi-simpleness, splitting.
+"""Walks in a graph: composition, node membership, quasi-simpleness, text forms.
 
 A walk is a start node plus an adjacency-checked dart sequence. Walks live
 either in the directed graph itself (forward darts only) or in its
@@ -10,8 +10,6 @@ steps. All operations are pure functions over immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
 from .graph import Dart, Graph, ValidationError, parse_dart
 
 
@@ -74,24 +72,9 @@ class Walk:
         return compact(self)
 
 
-class Split(NamedTuple):
-    """A walk divided at the first occurrence of a node."""
-
-    prefix: Walk
-    suffix: Walk
-
-
 def trivial(g: Graph, x: int, symmetric: bool = False) -> Walk:
     """The one-point walk at ``x``."""
     return Walk(g, x, (), symmetric)
-
-
-def prepend(d: Dart, w: Walk) -> Walk:
-    """The walk stepping along ``d`` and then following ``w``."""
-    g = w.graph
-    if g.head(d) != w.start:
-        raise ValueError(f"cannot prepend {d}: head {g.head(d)} != walk start {w.start}")
-    return Walk(g, g.tail(d), (d,) + w.steps, w.symmetric)
 
 
 def compose(w1: Walk, w2: Walk) -> Walk:
@@ -107,16 +90,6 @@ def compose(w1: Walk, w2: Walk) -> Walk:
     if w1.end != w2.start:
         raise ValueError(f"cannot compose: first walk ends at {w1.end}, second starts at {w2.start}")
     return Walk(w1.graph, w1.start, w1.steps + w2.steps, w1.symmetric)
-
-
-def prefix_to(w: Walk, i: int) -> Walk:
-    """The length-``i`` initial segment of ``w``."""
-    return Walk(w.graph, w.start, w.steps[:i], w.symmetric)
-
-
-def suffix_from(w: Walk, i: int) -> Walk:
-    """The walk remaining after the first ``i`` steps of ``w``."""
-    return Walk(w.graph, w.node_at(i), w.steps[i:], w.symmetric)
 
 
 def occurs(z: int, w: Walk) -> int:
@@ -150,45 +123,9 @@ def is_quasi_simple(w: Walk) -> bool:
     return len(set(left)) == len(left)
 
 
-def is_prefix(p: Walk, w: Walk) -> bool:
-    """Whether ``p`` is an initial segment of ``w`` (same start, same universe)."""
-    if p.graph != w.graph or p.symmetric != w.symmetric or p.start != w.start:
-        return False
-    return w.steps[: p.length] == p.steps
-
-
-def suffix_of(p: Walk, w: Walk) -> Walk:
-    """The walk ``s`` with ``compose(p, s) == w``; requires ``is_prefix(p, w)``."""
-    if not is_prefix(p, w):
-        raise ValueError("suffix_of requires the first walk to be a prefix of the second")
-    return suffix_from(w, p.length)
-
-
-def split_at(w: Walk, y: int) -> Optional[Split]:
-    """Divide ``w`` at the first occurrence of ``y``.
-
-    Returns None when ``y`` does not occur (final endpoint excluded).
-    Otherwise returns ``Split(prefix, suffix)`` with ``prefix`` ending at
-    that first occurrence, ``y`` absent from ``prefix``, and
-    ``compose(prefix, suffix) == w``.
-    """
-    for i, x in enumerate(w.nodes()[:-1]):
-        if x == y:
-            return Split(prefix_to(w, i), suffix_from(w, i))
-    return None
-
-
 def compact(w: Walk) -> str:
     """Compact textual form, e.g. ``0:e3+,e7-``; a trivial walk is ``0:``."""
     return f"{w.start}:" + ",".join(str(d) for d in w.steps)
-
-
-def verbose(w: Walk) -> str:
-    """Readable textual form, e.g. ``0 -e3> 1 -e7< 2``."""
-    parts = [str(w.start)]
-    for d, x in zip(w.steps, w.nodes()[1:]):
-        parts.append(f"-e{d.edge}{'>' if d.forward else '<'} {x}")
-    return " ".join(parts)
 
 
 class WalkSpecError(ValueError):

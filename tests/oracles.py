@@ -30,7 +30,6 @@ from walkmaps import (
     normalize,
     normalize_homotopy,
     out_darts,
-    prepend,
     prove_homotopic,
     trivial,
 )
@@ -263,7 +262,8 @@ def reference_normal_form(m, w: Walk, budget) -> HomotopyNormalForm | Inconclusi
             inner = Walk(w.graph, w.node_at(piece + 1), w.steps[piece + 1 : cut], True)
             nf, _, inner_moves = normal_form(inner)
             moves += shifted(inner_moves, 1)
-            moves += search(prepend(w.steps[piece], nf))
+            lead = w.steps[piece]
+            moves += search(Walk(w.graph, w.node_at(piece), (lead, *nf.steps), True))
             piece = cut
         return moves
 

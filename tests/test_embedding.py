@@ -1,18 +1,16 @@
-"""Face tracing, Euler characteristic, and boundary walks between anchors."""
+"""Face tracing, Euler characteristic, and the boundary walks between two positions."""
 
 from __future__ import annotations
 
 import pytest
 
 from walkmaps import (
-    BoundaryAnchor,
     CyclicOrder,
     Dart,
     RotationError,
     RotationMap,
     ValidationError,
     Walk,
-    boundary_walks,
     build_rotation_map,
     compose,
     euler_characteristic,
@@ -20,6 +18,7 @@ from walkmaps import (
     trace_faces,
     trivial,
 )
+from walkmaps.embedding import _boundary_segments
 
 from .fixtures import (
     all_fixture_maps,
@@ -118,19 +117,24 @@ def test_rotation_map_constructor_takes_plain_lists_and_needs_one_per_node():
         RotationMap(g, lists[:1])
 
 
+def _boundary_walks(m, face, a, b):
+    # the two walks of ``_boundary_segments``, from the node under position ``a``
+    cw, ccw = _boundary_segments(m, face, a, b)
+    start = m.graph.tail(m.faces[face].boundary[a])
+    return Walk(m.graph, start, cw, True), Walk(m.graph, start, ccw, True)
+
+
 def test_boundary_walks_equal_anchor():
     m = loop1_map()
-    a = BoundaryAnchor(0, 0)
-    cw, ccw = boundary_walks(m, a, a)
+    cw, ccw = _boundary_walks(m, 0, 0, 0)
     assert cw == Walk(m.graph, 0, (Dart(0),), symmetric=True)
     assert ccw == trivial(m.graph, 0, symmetric=True)
 
 
 def test_boundary_walks_digon():
     m = digon_map()
-    a = BoundaryAnchor(0, 0)  # tail of e0+ is node 0
-    b = BoundaryAnchor(0, 1)  # tail of e1- is node 1
-    cw, ccw = boundary_walks(m, a, b)
+    # position 0 is the tail of e0+, node 0; position 1 the tail of e1-, node 1
+    cw, ccw = _boundary_walks(m, 0, 0, 1)
     assert cw.steps == (Dart(0),)
     assert ccw.steps == (Dart(1),)
     assert (cw.start, cw.end) == (0, 1) == (ccw.start, ccw.end)
@@ -138,49 +142,36 @@ def test_boundary_walks_digon():
 
 def test_boundary_walks_compose_to_full_boundary():
     for m in (digon_map(), triangle_map(), k4sphere_map(), torus2_map()):
-        faces = trace_faces(m)
-        for f in faces:
+        for f in trace_faces(m):
             n = len(f.boundary)
-            for a_pos in range(n):
-                for b_pos in range(n):
-                    if a_pos == b_pos:
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
                         continue
-                    a = BoundaryAnchor(f.id, a_pos)
-                    b = BoundaryAnchor(f.id, b_pos)
-                    cw_ab, _ = boundary_walks(m, a, b)
-                    cw_ba, _ = boundary_walks(m, b, a)
+                    cw_ab, _ = _boundary_walks(m, f.id, a, b)
+                    cw_ba, _ = _boundary_walks(m, f.id, b, a)
                     loop = compose(cw_ab, cw_ba)
                     assert loop.length == n
-                    rotated = f.boundary[a_pos:] + f.boundary[:a_pos]
-                    assert loop.steps == rotated
+                    assert loop.steps == f.boundary[a:] + f.boundary[:a]
 
 
 def test_boundary_walk_endpoints():
     m = k4sphere_map()
-    faces = trace_faces(m)
     g = m.graph
-    for f in faces:
-        for a_pos in range(len(f.boundary)):
-            for b_pos in range(len(f.boundary)):
-                a = BoundaryAnchor(f.id, a_pos)
-                b = BoundaryAnchor(f.id, b_pos)
-                cw, ccw = boundary_walks(m, a, b)
-                assert cw.start == ccw.start == g.tail(f.boundary[a_pos])
-                assert cw.end == ccw.end == g.tail(f.boundary[b_pos])
-                if a_pos != b_pos:
+    for f in trace_faces(m):
+        for a in range(len(f.boundary)):
+            for b in range(len(f.boundary)):
+                cw, ccw = _boundary_walks(m, f.id, a, b)
+                assert cw.start == ccw.start == g.tail(f.boundary[a])
+                assert cw.end == ccw.end == g.tail(f.boundary[b])
+                if a != b:
                     assert cw.length + ccw.length == len(f.boundary)
-
-
-def test_boundary_walks_rejects_cross_face_anchors():
-    m = digon_map()
-    with pytest.raises(ValueError, match="different faces"):
-        boundary_walks(m, BoundaryAnchor(0, 0), BoundaryAnchor(1, 0))
 
 
 def test_boundary_walks_rejects_bad_position():
     m = digon_map()
     with pytest.raises(ValueError, match="position"):
-        boundary_walks(m, BoundaryAnchor(0, 5), BoundaryAnchor(0, 0))
+        _boundary_segments(m, 0, 5, 0)
 
 
 def test_euler_is_even_and_at_most_two_on_connected_fixtures():

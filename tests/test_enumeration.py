@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,12 @@ from walkmaps import (
     Dart,
     ValidationError,
     build_graph,
-    count_walks_of_length,
     enumerate_all_qswalks,
-    enumerate_qswalks_of_length,
     is_quasi_simple,
-    iter_walks_of_length,
     iter_walks_up_to,
     occurs,
     trivial,
+    walk_counts,
 )
 
 from .fixtures import digon_graph, loop1_graph, triangle_graph
@@ -28,18 +27,27 @@ from .oracles import brute_walks, random_graph
 from .strategies import graphs
 
 
+def _qswalks_of_length(g, m, x, y):
+    return [w for w in enumerate_all_qswalks(g, x, y) if w.length == m]
+
+
+def _count(g, n, x, y=None, symmetric=False):
+    # all walks of length n from x (to y when given)
+    return next(islice(walk_counts(g, y, symmetric), n, None))[x]
+
+
 def test_length_zero_bucket():
     g = triangle_graph()
-    assert enumerate_qswalks_of_length(g, 0, 0, 0) == [trivial(g, 0)]
-    assert enumerate_qswalks_of_length(g, 0, 0, 1) == []
+    assert _qswalks_of_length(g, 0, 0, 0) == [trivial(g, 0)]
+    assert _qswalks_of_length(g, 0, 0, 1) == []
 
 
 def test_triangle_buckets():
     g = triangle_graph()
-    cycle = enumerate_qswalks_of_length(g, 3, 0, 0)
+    cycle = _qswalks_of_length(g, 3, 0, 0)
     assert len(cycle) == 1
     assert cycle[0].steps == (Dart(0), Dart(1), Dart(2))
-    one = enumerate_qswalks_of_length(g, 1, 0, 1)
+    one = _qswalks_of_length(g, 1, 0, 1)
     assert len(one) == 1 and one[0].steps == (Dart(0),)
 
 
@@ -109,14 +117,14 @@ def test_recurrence_cardinality():
         for x in range(g.node_count):
             for z in range(g.node_count):
                 for m in range(g.node_count):
-                    lhs = len(enumerate_qswalks_of_length(g, m + 1, x, z))
+                    lhs = len(_qswalks_of_length(g, m + 1, x, z))
                     rhs = 0
                     for e in g.edges:
                         if e.source != x:
                             continue
                         rhs += sum(
                             1
-                            for w in enumerate_qswalks_of_length(g, m, e.target, z)
+                            for w in _qswalks_of_length(g, m, e.target, z)
                             if occurs(x, w) == 0
                         )
                     assert lhs == rhs
@@ -133,12 +141,12 @@ def test_enumeration_order_is_deterministic():
 
 def test_count_walks_examples():
     g = triangle_graph()
-    assert count_walks_of_length(g, 0, 0, 0) == 1
-    assert count_walks_of_length(g, 0, 0, 1) == 0
-    assert count_walks_of_length(g, 3, 0, 0) == 1
+    assert _count(g, 0, 0, 0) == 1
+    assert _count(g, 0, 0, 1) == 0
+    assert _count(g, 3, 0, 0) == 1
     loop = loop1_graph()
     for k in range(7):
-        assert count_walks_of_length(loop, k, 0, 0) == 1
+        assert _count(loop, k, 0, 0) == 1
 
 
 def test_count_walks_to_any_end_sums_the_ends():
@@ -146,29 +154,16 @@ def test_count_walks_to_any_end_sums_the_ends():
     for sym in (False, True):
         for n in range(5):
             for x in range(3):
-                total = sum(count_walks_of_length(g, n, x, y, sym) for y in range(3))
-                assert count_walks_of_length(g, n, x, None, sym) == total
-                assert count_walks_of_length(g, n, x, symmetric=sym) == total
+                total = sum(_count(g, n, x, y, sym) for y in range(3))
+                assert _count(g, n, x, None, sym) == total
 
 
-def test_count_walks_rejects_negative_length():
-    with pytest.raises(ValueError):
-        count_walks_of_length(triangle_graph(), -1, 0, 0)
-
-
-@pytest.mark.parametrize(
-    "gen", [iter_walks_of_length, iter_walks_up_to, enumerate_qswalks_of_length]
-)
+@pytest.mark.parametrize("gen", [iter_walks_up_to])
 def test_walk_generators_reject_negative_length(gen):
     # like a bad endpoint, a negative length raises on first use
-    g = triangle_graph()
-    if gen is enumerate_qswalks_of_length:  # returns a list: first use is the call
-        with pytest.raises(ValueError):
-            gen(g, -1, 0, 0)
-    else:
-        walks = gen(g, -1, 0)
-        with pytest.raises(ValueError):
-            next(walks)
+    walks = gen(triangle_graph(), -1, 0)
+    with pytest.raises(ValueError):
+        next(walks)
 
 
 @given(graphs())
@@ -180,12 +175,10 @@ def test_count_matches_dfs_and_bounds_quasi(g):
                 expected = sum(
                     1 for w in brute_walks(g, n, x, y) if w.length == n
                 )
-                got = count_walks_of_length(g, n, x, y)
+                got = _count(g, n, x, y)
                 assert got == expected
-                assert got >= len(enumerate_qswalks_of_length(g, n, x, y))
-            assert count_walks_of_length(g, 0, x, y) == len(
-                enumerate_qswalks_of_length(g, 0, x, y)
-            )
+                assert got >= len(_qswalks_of_length(g, n, x, y))
+            assert _count(g, 0, x, y) == len(_qswalks_of_length(g, 0, x, y))
 
 
 def _brute_order(w):
@@ -200,9 +193,6 @@ def test_walk_generators_match_brute_in_order(g, max_len):
             for y in [None, *range(g.node_count)]:
                 expected = sorted(brute_walks(g, max_len, x, y, symmetric), key=_brute_order)
                 assert list(iter_walks_up_to(g, max_len, x, y, symmetric)) == expected
-                for n in range(max_len + 1):
-                    ours = list(iter_walks_of_length(g, n, x, y, symmetric))
-                    assert ours == [w for w in expected if w.length == n]
 
 
 @given(graphs())
@@ -218,9 +208,9 @@ def test_all_qswalks_to_any_node(g):
 def test_long_cycle_walks_without_recursion():
     # the directed 3-cycle closes a loop at 0 every third step
     g = triangle_graph()
-    assert len(list(iter_walks_up_to(g, 1500, 0, 0))) == 501
-    [w] = iter_walks_of_length(g, 1500, 0, 0)
-    assert w.steps == (Dart(0), Dart(1), Dart(2)) * 500
+    walks = list(iter_walks_up_to(g, 1500, 0, 0))
+    assert len(walks) == 501
+    assert walks[-1].steps == (Dart(0), Dart(1), Dart(2)) * 500
 
 
 def test_iter_walks_up_to_matches_brute():
@@ -233,9 +223,6 @@ def test_iter_walks_up_to_matches_brute():
 
 BAD_ENDPOINT_CALLS = {
     "enumerate_all_qswalks": lambda g, x, y: enumerate_all_qswalks(g, x, y),
-    "enumerate_qswalks_of_length": lambda g, x, y: enumerate_qswalks_of_length(g, 1, x, y),
-    "count_walks_of_length": lambda g, x, y: count_walks_of_length(g, 2, x, y),
-    "iter_walks_of_length": lambda g, x, y: list(iter_walks_of_length(g, 2, x, y)),
     "iter_walks_up_to": lambda g, x, y: list(iter_walks_up_to(g, 2, x, y)),
 }
 

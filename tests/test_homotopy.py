@@ -26,7 +26,6 @@ from walkmaps import (
     incident_darts,
     is_connected,
     is_quasi_simple,
-    loop_collapse_cert,
     normalize,
     normalize_homotopy,
     prove_homotopic,
@@ -118,12 +117,26 @@ def test_prove_homotopic_rejects_directed_walks():
         prove_homotopic(m, Walk(m.graph, 0, (Dart(0),)), Walk(m.graph, 0, (Dart(1),)))
 
 
+def test_walks_longer_than_the_length_cap_still_move():
+    # RU.R^5 and UR.R^5 differ by one move on the torus's one face, which
+    # keeps the length; the default cap (6 here) is below the walks' 7 steps
+    m = torus2_map()
+    right, up = Dart(0), Dart(1)
+    w1 = Walk(m.graph, 0, (right, up) + (right,) * 5, symmetric=True)
+    w2 = Walk(m.graph, 0, (up, right) + (right,) * 5, symmetric=True)
+    assert default_budget(m).max_len < w1.length
+    for budget in (None, SearchBudget(max_len=2)):
+        cert = prove_homotopic(m, w1, w2, budget)
+        assert cert is not None and len(cert.moves) == 1
+        assert replay_certificate(m, cert) == w2
+
+
 def test_torus_loops_not_provable():
     m = torus2_map()
     a = Walk(m.graph, 0, (Dart(0),), symmetric=True)
     b = Walk(m.graph, 0, (Dart(1),), symmetric=True)
     assert prove_homotopic(m, a, b) is None
-    assert loop_collapse_cert(m, a) is None
+    assert prove_homotopic(m, a, trivial(m.graph, 0, symmetric=True)) is None
 
 
 def test_replay_rejects_corrupted_certificates():
@@ -165,19 +178,20 @@ def test_concat_requires_chaining():
 
 
 def test_loop_collapse_requires_loop():
+    # only a loop shares its endpoints with the trivial walk at its start
     m = digon_map()
-    with pytest.raises(ValueError, match="loop"):
-        loop_collapse_cert(m, digon_edge_walk(0))
+    with pytest.raises(ValueError, match="endpoints"):
+        prove_homotopic(m, digon_edge_walk(0), trivial(m.graph, 0, symmetric=True))
 
 
 def test_loop_collapse_examples():
     m = loop1_map()
     w = Walk(m.graph, 0, (Dart(0),), symmetric=True)
-    cert = loop_collapse_cert(m, w)
+    point = trivial(m.graph, 0, symmetric=True)
+    cert = prove_homotopic(m, w, point)
     assert cert is not None and len(cert.moves) == 1
     replay_certificate(m, cert)
-    point = trivial(m.graph, 0, symmetric=True)
-    assert loop_collapse_cert(m, point) == HomotopyCertificate(point, point, ())
+    assert prove_homotopic(m, point, point) == HomotopyCertificate(point, point, ())
 
 
 def test_whisker_trivial_right_is_identity():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import re
 from pathlib import Path
 
 import walkmaps
@@ -63,22 +62,29 @@ def test_homotopy_searches_and_reads_euler_in_one_place():
     assert list(_call_sites(tree, "euler_characteristic")) == ["check_spherical_euler"]
 
 
+def _reads(tree: ast.AST):
+    """Every name the code reads: a loaded ``Name`` or the name of an ``Attribute``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def test_every_export_is_used():
-    # a public name that nothing reads is dead code kept alive by the export list
-    tests = Path(__file__).parent
+    # a public name that the library, the benchmark and the acceptance tests
+    # never read is dead code kept alive by the export list; unit tests,
+    # docstrings, messages and imports do not count
+    root = Path(__file__).resolve().parent.parent
     files = [
-        path
-        for folder in (SOURCE_DIR, tests, tests.parent / "bench")
-        for path in sorted(folder.rglob("*.py"))
-        if path != SOURCE_DIR / "__init__.py"
+        *(path for path in sorted(SOURCE_DIR.glob("*.py")) if path.name != "__init__.py"),
+        *sorted((root / "bench").rglob("*.py")),
+        root / "tests" / "test_acceptance.py",
     ]
-    lines = [line for path in files for line in path.read_text(encoding="utf-8").splitlines()]
-    unused = []
-    for name in walkmaps.__all__:
-        if inspect.ismodule(getattr(walkmaps, name)):
-            continue
-        word = re.compile(rf"\b{name}\b")
-        own = re.compile(rf"\s*(def|class) {name}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
-    assert unused == []
+    read = {
+        name
+        for path in files
+        for name in _reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    }
+    exported = [name for name in walkmaps.__all__ if not inspect.ismodule(getattr(walkmaps, name))]
+    assert [name for name in exported if name not in read] == []

@@ -1,4 +1,4 @@
-"""Walk construction, composition, membership, quasi-simpleness, splitting."""
+"""Walk construction, composition, membership, quasi-simpleness, text forms."""
 
 from __future__ import annotations
 
@@ -11,16 +11,11 @@ from walkmaps import (
     Walk,
     compact,
     compose,
-    is_prefix,
     is_quasi_simple,
     membership_census,
     occurs,
     parse_walk,
-    prepend,
-    split_at,
-    suffix_of,
     trivial,
-    verbose,
 )
 
 from .fixtures import digon_graph, pathloop_graph, triangle_graph
@@ -99,13 +94,6 @@ def test_compose_rejects_walks_on_different_graphs():
         compose(trivial(triangle_graph(), 0), trivial(digon_graph(), 0))
 
 
-def test_prepend_checks_adjacency():
-    g = triangle_graph()
-    assert prepend(Dart(0), Walk(g, 1, (Dart(1),))) == Walk(g, 0, (Dart(0), Dart(1)))
-    with pytest.raises(ValueError, match="cannot prepend e1\\+"):
-        prepend(Dart(1), Walk(g, 1, (Dart(1),)))
-
-
 @given(composable_walk_pairs())
 def test_compose_length_adds(pair):
     p, q = pair
@@ -166,75 +154,6 @@ def test_quasi_simple_peels_leading_step(w):
             assert is_quasi_simple(w)
 
 
-def test_prefix_examples():
-    g = triangle_graph()
-    w = Walk(g, 0, (Dart(0), Dart(1)))
-    assert is_prefix(trivial(g, 0), w)
-    assert is_prefix(Walk(g, 0, (Dart(0),)), w)
-    assert not is_prefix(Walk(g, 1, (Dart(1),)), w)  # different start
-    assert not is_prefix(Walk(g, 0, (Dart(0), Dart(1), Dart(2))), w)
-
-
-def test_suffix_of_examples():
-    g = triangle_graph()
-    w = Walk(g, 0, (Dart(0), Dart(1)))
-    assert suffix_of(trivial(g, 0), w) == w
-    assert suffix_of(w, w) == trivial(g, 2)
-    assert suffix_of(Walk(g, 0, (Dart(0),)), w) == Walk(g, 1, (Dart(1),))
-
-
-def test_suffix_of_recomposes():
-    g = triangle_graph()
-    w = Walk(g, 0, (Dart(0), Dart(1), Dart(2)))
-    p = Walk(g, 0, (Dart(0),))
-    assert compose(p, suffix_of(p, w)) == w
-
-
-def test_suffix_of_requires_prefix():
-    g = triangle_graph()
-    with pytest.raises(ValueError):
-        suffix_of(Walk(g, 1, (Dart(1),)), Walk(g, 0, (Dart(0),)))
-
-
-def test_split_at_absent_node():
-    g = triangle_graph()
-    assert split_at(Walk(g, 0, (Dart(0),)), 2) is None
-
-
-def test_split_at_start():
-    g = triangle_graph()
-    w = Walk(g, 0, (Dart(0), Dart(1)))
-    found = split_at(w, 0)
-    assert found is not None
-    assert found.prefix == trivial(g, 0)
-    assert found.suffix == w
-
-
-def test_split_at_pathloop():
-    w = pathloop_walk()
-    found = split_at(w, 1)
-    assert found is not None
-    prefix, suffix = found
-    assert prefix.nodes() == (0, 1)
-    assert suffix.nodes() == (1, 0, 2)
-    assert compose(prefix, suffix) == w
-    assert occurs(1, prefix) == 0
-    assert prefix.end == 1
-
-
-@given(graph_walks(max_len=6))
-def test_split_at_invariants(w):
-    for y in range(w.graph.node_count):
-        found = split_at(w, y)
-        if occurs(y, w) == 0:
-            assert found is None
-        else:
-            prefix, suffix = found
-            assert compose(prefix, suffix) == w
-            assert prefix.end == y
-            assert occurs(y, prefix) == 0
-
-
 @given(graph_walks(max_len=6))
 def test_basic_shape_facts(w):
     # nontrivial walks visit their start; composition keeps positivity
@@ -250,7 +169,6 @@ def test_text_forms():
     g = digon_graph()
     w = Walk(g, 0, (Dart(0), Dart(1, False)), symmetric=True)
     assert compact(w) == "0:e0+,e1-"
-    assert verbose(w) == "0 -e0> 1 -e1< 0"
     assert compact(trivial(g, 1)) == "1:"
 
 
