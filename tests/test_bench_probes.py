@@ -34,10 +34,7 @@ def _report(argv) -> dict:
     return json.loads(out.getvalue())
 
 
-@pytest.mark.parametrize(
-    "workload,seed", [(name, 1) for name in corpus.WORKLOADS] + [("torus-cap", 2)]
-)
-def test_probes_run_on_every_task(workload, seed, tmp_path, monkeypatch):
+def _probe_workload(workload, seed, tmp_path, monkeypatch) -> Tracer:
     tasks = corpus.write(tmp_path, workload, seed)
     monkeypatch.chdir(tmp_path)  # task argv names files relative to the corpus
     tracer, seen, listed = Tracer(), set(), 0
@@ -49,5 +46,20 @@ def test_probes_run_on_every_task(workload, seed, tmp_path, monkeypatch):
         probes.probe(task, tmp_path, report, tracer, seen)
     assert {task["argv"][1] for task in tasks} == seen
     assert listed > 0
+    return tracer
+
+
+def test_probes_run_on_probe_set_and_torus_cap(tmp_path, monkeypatch):
+    tracer = _probe_workload("torus-cap", 1, tmp_path, monkeypatch)
+    assert tracer.counters["homotopy.cap_searches"] > 0
+
+
+@pytest.mark.parametrize(
+    "workload,seed",
+    [(name, 1) for name in corpus.WORKLOADS if name != "torus-cap"]
+    + [("torus-cap", 2)],
+)
+def test_probes_run_on_every_task(workload, seed, tmp_path, monkeypatch):
+    tracer = _probe_workload(workload, seed, tmp_path, monkeypatch)
     if workload == "torus-cap":
         assert tracer.counters["homotopy.cap_searches"] > 0
