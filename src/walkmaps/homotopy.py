@@ -9,16 +9,17 @@ is the empty certificate, symmetry reverses and flips a move list,
 transitivity concatenates, and whiskering shifts move offsets.
 
 The relation itself is only searched, never decided. ``_Certifier`` holds
-one map's move table, and its ``prove`` is the one pair search. It grows a
-path of moves from each walk until the two meet at one walk, and joins the
-halves by symmetry and transitivity (``reverse_certificate`` and
-``concat_certificates``). It returns that certificate or raises
-``_Blocked`` with the pair and whether the bounded closure was exhausted,
-which is kept apart from a disproof. The quasi and bounded checkers run one
-decision loop and differ only in the walks they enumerate and whether each
-is first replaced by its normal form. The negative signal is the Euler
-characteristic, read only in ``check_spherical_euler``: 2 exactly on
-connected spheres.
+one map's move table, and its ``prove`` is the one pair search, a BFS from
+both walks over dart strings (one character per dart) that keeps only each
+state's parent and re-derives the moves on the path found. The halves meet
+at one walk and are joined by symmetry and transitivity
+(``reverse_certificate``, ``concat_certificates``). It returns that
+certificate or raises ``_Blocked`` with the pair and whether the bounded
+closure was exhausted, which is kept apart from a disproof. The quasi and
+bounded checkers run one decision loop and differ only in the walks they
+enumerate and whether each is first replaced by its normal form. The
+negative signal is the Euler characteristic, read only in
+``check_spherical_euler``: 2 exactly on connected spheres.
 
 A walk is certified homotopic to its normal form from the trace of
 ``rewrite.normalize``: each trace step deletes one loop, erased cycle by
@@ -188,13 +189,13 @@ def _shifted(moves: tuple[HomotopyMove, ...], k: int) -> tuple[HomotopyMove, ...
     return tuple(HomotopyMove(mv.face, mv.a, mv.b, mv.prefix_len + k, mv.direction) for mv in moves)
 
 
-def _codes(steps) -> tuple[int, ...]:
-    """Darts as integer codes ``2*edge + (0 if forward else 1)``; reversal is ``^ 1``."""
-    return tuple(2 * d.edge + (not d.forward) for d in steps)
+def _codes(steps) -> str:
+    """Darts as one character each, ``chr(2*edge + (0 if forward else 1))``."""
+    return "".join([chr(2 * d.edge + (not d.forward)) for d in steps])
 
 
 def _darts(codes) -> tuple[Dart, ...]:
-    return tuple(Dart(c >> 1, not c & 1) for c in codes)
+    return tuple(Dart(c >> 1, not c & 1) for c in map(ord, codes))
 
 
 def prove_homotopic(
@@ -267,14 +268,16 @@ class _Blocked(Exception):
 class _Certifier:
     """One map's move table and its one pair search, under one budget.
 
-    The table lists every face's segment exchanges on integer darts
-    (``_codes``): nonempty sources under their first dart, full-boundary
-    insertions (the trivial source) under their anchor node. A search state
-    is a walk's step tuple, whose start every move keeps; ``HomotopyMove``s
-    are built only for the path found. ``prove``, a bidirectional BFS, is
-    the only pair search: it returns a replay-valid certificate or raises
-    _Blocked with the pair and whether one side's reachable set within the
-    length cap was exhausted, which is not a disproof.
+    The table lists every face's segment exchanges on dart strings
+    (``_codes``, one character per dart): nonempty sources under their first
+    dart, full-boundary insertions (the trivial source) under their anchor
+    node. A search state is a walk's dart string; every move keeps its start.
+    ``prove``, a bidirectional BFS, is the only pair search. Its parent maps
+    hold only parents; each ``HomotopyMove`` of the path found is re-derived
+    as its parent's first successor to the child, the move the search took.
+    It returns a replay-valid certificate or raises _Blocked with the pair
+    and whether one side's reachable set within the length cap was
+    exhausted, which is not a disproof.
 
     ``normal_form`` reads the ``rewrite.normalize`` trace: each step
     deletes one loop. One pass over its darts keeps the loop-erased path; a
@@ -286,7 +289,7 @@ class _Certifier:
     def __init__(self, m: RotationMap, budget: SearchBudget):
         g = m.graph
         self.budget = budget
-        self.head = [g.head(d) for d in _darts(range(2 * g.edge_count))]
+        self.head = [g.head(d) for d in _darts(map(chr, range(2 * g.edge_count)))]
         # entry: (src, dst, len(dst) - len(src), (face, a, b, direction))
         self.by_first_dart: list[list[tuple]] = [[] for _ in self.head]
         self.insertions_by_node: list[list[tuple]] = [[] for _ in range(g.node_count)]
@@ -297,13 +300,13 @@ class _Certifier:
                     for src, dst, direction in ((ccw, cw, CCW_TO_CW), (cw, ccw, CW_TO_CCW)):
                         entry = (src, dst, len(dst) - len(src), (face.id, a, b, direction))
                         if src:
-                            self.by_first_dart[src[0]].append(entry)
+                            self.by_first_dart[ord(src[0])].append(entry)
                         else:
                             self.insertions_by_node[g.tail(face.boundary[a])].append(entry)
-        self._collapses: dict[tuple, tuple[HomotopyMove, ...]] = {}
+        self._collapses: dict[tuple[int, str], tuple[HomotopyMove, ...]] = {}
 
-    def successors(self, start: int, steps: tuple[int, ...]):
-        """All ((face, a, b, direction), offset, steps) one move away, length-capped."""
+    def successors(self, start: int, steps: str):
+        """All ((face, a, b, direction), offset, dart string) one move away, length-capped."""
         max_len = self.budget.max_len
         length = len(steps)
         at = start
@@ -312,37 +315,39 @@ class _Certifier:
                 if length + grow <= max_len:
                     yield desc, i, steps[:i] + dst + steps[i:]
             if i < length:
-                at = self.head[steps[i]]
+                at = self.head[ord(steps[i])]
         for i in range(length):
-            for src, dst, grow, desc in self.by_first_dart[steps[i]]:
-                ls = len(src)
-                if i + ls <= length and length + grow <= max_len and steps[i : i + ls] == src:
-                    yield desc, i, steps[:i] + dst + steps[i + ls :]
+            for src, dst, grow, desc in self.by_first_dart[ord(steps[i])]:
+                if length + grow <= max_len and steps.startswith(src, i):
+                    yield desc, i, steps[:i] + dst + steps[i + len(src) :]
 
     def prove(self, w1: Walk, w2: Walk) -> HomotopyCertificate:
         """A certificate from ``w1`` to ``w2``; raises _Blocked when the search finds none."""
         if w1.key() == w2.key():
             return HomotopyCertificate(w1, w2, ())
-        # parent maps: steps -> (parent steps, descriptor, offset) of the move from the parent
+        # parent maps: dart string -> its parent's, None at the side's origin
         parents = ({_codes(w1.steps): None}, {_codes(w2.steps): None})
         frontiers = (deque(parents[0]), deque(parents[1]))
 
-        def path(side: int, key) -> tuple[HomotopyMove, ...]:
-            # the moves from the side's origin to ``key``
+        def path(side: int, key: str) -> tuple[HomotopyMove, ...]:
+            # the moves from the side's origin to ``key``, each the search's first to the child
             moves = []
-            while parents[side][key] is not None:
-                key, (face, a, b, direction), i = parents[side][key]
+            while (parent := parents[side][key]) is not None:
+                (face, a, b, direction), i = next(
+                    (d, i) for d, i, nxt in self.successors(w1.start, parent) if nxt == key
+                )
                 moves.append(HomotopyMove(face, a, b, i, direction))
+                key = parent
             return tuple(reversed(moves))
 
         while frontiers[0] and frontiers[1]:
             side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
             own, other = parents[side], parents[1 - side]
             current = frontiers[side].popleft()
-            for desc, i, nxt in self.successors(w1.start, current):
+            for _, _, nxt in self.successors(w1.start, current):
                 if nxt in own:
                     continue
-                own[nxt] = (current, desc, i)
+                own[nxt] = current
                 if nxt in other:
                     # the half-paths meet at ``nxt``: transitivity after symmetry
                     meet = Walk(w1.graph, w1.start, _darts(nxt), True)

@@ -626,3 +626,70 @@ def test_checkers_match_the_per_pair_reference():
         assert ours == theirs
         statuses.add(v.status)
     assert statuses == {"spherical", "not_spherical"}
+
+
+@pytest.fixture(scope="module")
+def bench_corpus():
+    """The benchmark's map builders (``bench/corpus.py``)."""
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import corpus
+
+    return corpus
+
+
+def _corpus_map(doc: dict):
+    import json
+
+    from walkmaps.cli import parse_map_document
+
+    return parse_map_document(json.dumps(doc)).rotation_map
+
+
+def test_capped_search_memory_per_state(bench_corpus):
+    # R^3 and U^3 lie in distinct homology classes of the 3x3 torus, so the
+    # search runs to its state cap. A visited state should cost one dart
+    # string and one parent-map entry (~94 B); a tuple of ints plus a
+    # (parent, move, offset) record per state costs ~247 B
+    import tracemalloc
+
+    from walkmaps import parse_walk
+
+    torus = bench_corpus.TorusGrid(3)
+    m = _corpus_map(torus.doc)
+    w1, w2 = (parse_walk(m.graph, torus.walk(0, word)) for word in ("RRR", "UUU"))
+    states = 20_000
+    tracemalloc.start()
+    try:
+        assert prove_homotopic(m, w1, w2, SearchBudget(default_budget(m).max_len, states)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / states < 170
+
+
+def test_dart_codes_of_256_and_above(bench_corpus):
+    # the 9x9 planar grid has 144 edges, so its dart codes run up to 287,
+    # past what one byte holds; its top row is edges 136-143 (nodes 72-80)
+    from walkmaps import parse_walk
+    from walkmaps.homotopy import _Certifier, _codes, _darts
+
+    m = _corpus_map(bench_corpus.grid(9, 9))
+    g = m.graph
+    assert g.edge_count == 144
+    top = parse_walk(g, "72:" + ",".join(f"e{e}+" for e in range(136, 144)) + ",e143-")
+    assert _darts(_codes(top.steps)) == top.steps
+    # one move across the top-right square: right then up, or up then right
+    w1, w2 = parse_walk(g, "70:e133+,e135+"), parse_walk(g, "70:e134+,e143+")
+    cert = prove_homotopic(m, w1, w2)
+    assert cert is not None and len(cert.moves) == 1
+    assert replay_certificate(m, cert) == w2
+    successors = list(_Certifier(m, default_budget(m)).successors(w1.start, _codes(w1.steps)))
+    assert any(nxt == _codes(w2.steps) for _, _, nxt in successors)
+    for (face, a, b, direction), i, nxt in successors:
+        moved = Walk(g, w1.start, _darts(nxt), symmetric=True)
+        assert apply_hcollapse(m, w1, HomotopyMove(face, a, b, i, direction)) == moved
