@@ -7,7 +7,8 @@ sorted, so reports are deterministic apart from the timing field.
 Exit codes: 0 success, 1 negative or inconclusive verdict, 2 malformed
 JSON, 3 document schema violation (including a map command on a
 rotation-less file), 4 rotation validation failure, 64 usage errors,
-among them an enumeration that would visit more than ``MAX_WALKS`` walks.
+among them an enumeration that would visit more than ``MAX_WALKS`` walks,
+and 141 from ``main`` when stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_BAD_JSON = 2
 EXIT_BAD_SCHEMA = 3
 EXIT_BAD_ROTATION = 4
 EXIT_USAGE = 64
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 ENV_MAX_STATES = "WALKMAPS_MAX_STATES"
 ENV_MAX_LEN = "WALKMAPS_MAX_LEN"
@@ -478,7 +480,14 @@ def _check_cli_node(g: Graph, x: int, flag: str) -> None:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,15 +17,15 @@ at one walk and are joined by symmetry and transitivity
 certificate or raises ``_Blocked`` with the pair and whether the bounded
 closure was exhausted, which is kept apart from a disproof. The quasi and
 bounded checkers run one decision loop and differ only in the walks they
-enumerate and whether each is first replaced by its normal form. The
-negative signal is the Euler characteristic, read only in
+enumerate and whether each is first replaced by its certified normal form.
+The negative signal is the Euler characteristic, read only in
 ``check_spherical_euler``: 2 exactly on connected spheres.
 
-A walk is certified homotopic to its normal form from the trace of
-``rewrite.normalize``: each trace step deletes one loop, erased cycle by
-cycle as each closes (chronological loop erasure), one search per distinct
-simple cycle. ``Inconclusive`` names the first cycle, in erasure order,
-that cannot be collapsed.
+A walk is certified homotopic to its normal form by one pass of
+chronological loop erasure over its darts. The path it keeps is the normal
+form that ``rewrite.normalize`` reaches, and each simple cycle is collapsed
+as it closes, one search per distinct cycle. ``Inconclusive`` names the
+first cycle, in erasure order, that cannot be collapsed.
 """
 
 from __future__ import annotations
@@ -245,9 +245,9 @@ class HomotopyNormalForm:
 class Inconclusive:
     """A normalization blocked on an unproven collapse: the sub-goal pair.
 
-    The certificate is built from the ``rewrite.normalize`` trace, and the
-    sub-goal is the first cycle, in erasure order, that cannot be collapsed:
-    a quasi-simple loop paired with the trivial walk at its basepoint.
+    The certificate is built by loop erasure, and the sub-goal is the first
+    cycle, in erasure order, that cannot be collapsed: a quasi-simple loop
+    paired with the trivial walk at its basepoint.
     ``exhausted`` tells a fully explored bounded search (the goal has no
     certificate within the length cap) from a state-budget cutoff.
     """
@@ -279,11 +279,11 @@ class _Certifier:
     and whether one side's reachable set within the length cap was
     exhausted, which is not a disproof.
 
-    ``normal_form`` reads the ``rewrite.normalize`` trace: each step
-    deletes one loop. One pass over its darts keeps the loop-erased path; a
-    dart back onto the path closes a simple cycle, which one ``prove``
-    against the trivial walk collapses at its offset before the path is cut
-    back. Successful collapses are memoized per cycle.
+    ``normal_form`` makes one pass over a walk's darts and keeps the
+    loop-erased path, which is the walk's normal form. A dart back onto the
+    path closes a simple cycle, which one ``prove`` against the trivial walk
+    collapses at its offset before the path is cut back. Successful
+    collapses are memoized per cycle.
     """
 
     def __init__(self, m: RotationMap, budget: SearchBudget):
@@ -359,23 +359,13 @@ class _Certifier:
                     raise _Blocked((w1, w2), False)
         raise _Blocked((w1, w2), True)
 
-    def normal_form(self, w: Walk) -> tuple[Walk, rewrite.ReductionTrace, tuple[HomotopyMove, ...]]:
-        """``rewrite.normalize(w)`` plus the moves deforming ``w`` into its normal form."""
-        nf, trace = rewrite.normalize(w)
-        moves: list[HomotopyMove] = []
-        for s in trace.steps:
-            at = s.depth
-            end = at + s.before.length - s.after.length
-            moves.extend(_shifted(self._collapse(s.before, at, end), at))
-        return nf, trace, tuple(moves)
-
-    def _collapse(self, w: Walk, at: int, end: int) -> list[HomotopyMove]:
-        """Moves collapsing the loop ``w.steps[at:end]``, erasing each cycle as it closes."""
+    def normal_form(self, w: Walk) -> tuple[Walk, tuple[HomotopyMove, ...]]:
+        """``w``'s loop erasure, its normal form, and the moves deforming ``w`` into it."""
         g = w.graph
         path: list[Dart] = []
-        nodes = [w.node_at(at)]
+        nodes = [w.start]
         moves: list[HomotopyMove] = []
-        for d in w.steps[at:end]:
+        for d in w.steps:
             h = g.head(d)
             if h not in nodes:
                 path.append(d)
@@ -389,7 +379,7 @@ class _Certifier:
                 self._collapses[key] = self.prove(loop, trivial(g, h, symmetric=True)).moves
             moves.extend(_shifted(self._collapses[key], j))
             del path[j:], nodes[j + 1 :]
-        return moves
+        return Walk(g, w.start, path, w.symmetric), tuple(moves)
 
 
 def normalize_homotopy(
@@ -397,18 +387,19 @@ def normalize_homotopy(
 ) -> HomotopyNormalForm | Inconclusive:
     """Normalize ``w`` and certify that it is homotopic to its normal form.
 
-    The normal form and trace are those of ``rewrite.normalize``; the
-    certificate collapses each deleted loop one simple cycle at a time. A
-    cycle the search cannot collapse (map not spherical, or budget too
-    small) yields Inconclusive carrying the first one in erasure order.
+    The normal form is ``w``'s loop erasure, and the certificate collapses
+    each erased simple cycle as it closes; the trace is that of
+    ``rewrite.normalize``, which reaches the same normal form. A cycle the
+    search cannot collapse (map not spherical, or budget too small) yields
+    Inconclusive carrying the first one in erasure order.
     """
     _check_walk(m, w)
     budget = budget or default_budget(m)
     try:
-        nf, trace, moves = _Certifier(m, budget).normal_form(w)
+        nf, moves = _Certifier(m, budget).normal_form(w)
     except _Blocked as blocked:
         return Inconclusive(blocked.subgoal, budget, blocked.exhausted)
-    return HomotopyNormalForm(nf, trace, HomotopyCertificate(w, nf, moves))
+    return HomotopyNormalForm(nf, rewrite.normalize(w)[1], HomotopyCertificate(w, nf, moves))
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,14 +445,14 @@ def check_spherical_bounded(
 ) -> SphericityVerdict:
     """Decide sphericity over all walk pairs up to ``max_len``.
 
-    Every enumerated walk is normalized with a certified homotopy to its
-    normal form, then the distinct normal forms of each node pair are proved
-    homotopic to each other; arbitrary pairs follow by transitivity. This
-    covers exactly the walk pairs of length at most ``max_len`` without
-    searching the quadratic pair space directly. With a ``collector``, the
-    nontrivial certificates produced along the way are appended to it. The
-    first collapse or pair left uncertified is the witness, and the Euler
-    reading tells not spherical from inconclusive.
+    Every enumerated walk is replaced by its loop erasure, its normal form,
+    with a certified homotopy to it. The distinct normal forms of each node
+    pair are then proved homotopic to each other; arbitrary pairs follow by
+    transitivity. This covers exactly the walk pairs of length at most
+    ``max_len`` without searching the quadratic pair space directly. With a
+    ``collector``, the nontrivial certificates produced along the way are
+    appended to it. The first collapse or pair left uncertified is the
+    witness, and the Euler reading tells not spherical from inconclusive.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -494,7 +485,7 @@ def _check_pairs(
                 for w in group:
                     if normalizing:
                         pairs += 1
-                        nf, _, moves = certifier.normal_form(w)
+                        nf, moves = certifier.normal_form(w)
                         if collector is not None and moves:
                             collector.append(HomotopyCertificate(w, nf, moves))
                         w = nf

@@ -17,13 +17,9 @@ def graphs(draw, max_nodes: int = 5, max_edges: int = 8) -> Graph:
     return build_graph(n, edges)
 
 
-@st.composite
-def graph_walks(draw, max_len: int = 8, symmetric: bool | None = None) -> Walk:
-    g = draw(graphs())
-    sym = draw(st.booleans()) if symmetric is None else symmetric
-    x = draw(st.integers(0, g.node_count - 1))
+def _steps_from(draw, g: Graph, at: int, max_len: int, sym: bool) -> tuple:
+    """Up to ``max_len`` drawn darts, each leaving the node the last one entered."""
     steps = []
-    at = x
     for _ in range(draw(st.integers(0, max_len))):
         options = incident_darts(g, at) if sym else out_darts(g, at)
         if not options:
@@ -31,21 +27,25 @@ def graph_walks(draw, max_len: int = 8, symmetric: bool | None = None) -> Walk:
         d = draw(st.sampled_from(list(options)))
         steps.append(d)
         at = g.head(d)
-    return Walk(g, x, tuple(steps), sym)
+    return tuple(steps)
+
+
+@st.composite
+def walks_on(draw, g: Graph, max_len: int = 8, symmetric: bool = True) -> Walk:
+    x = draw(st.integers(0, g.node_count - 1))
+    return Walk(g, x, _steps_from(draw, g, x, max_len, symmetric), symmetric)
+
+
+@st.composite
+def graph_walks(draw, max_len: int = 8, symmetric: bool | None = None) -> Walk:
+    g = draw(graphs())
+    sym = draw(st.booleans()) if symmetric is None else symmetric
+    return draw(walks_on(g, max_len, sym))
 
 
 @st.composite
 def composable_walk_pairs(draw, max_len: int = 5) -> tuple[Walk, Walk]:
     first = draw(graph_walks(max_len=max_len))
     g = first.graph
-    steps = []
-    at = first.end
-    for _ in range(draw(st.integers(0, max_len))):
-        options = incident_darts(g, at) if first.symmetric else out_darts(g, at)
-        if not options:
-            break
-        d = draw(st.sampled_from(list(options)))
-        steps.append(d)
-        at = g.head(d)
-    second = Walk(g, first.end, tuple(steps), first.symmetric)
-    return first, second
+    steps = _steps_from(draw, g, first.end, max_len, first.symmetric)
+    return first, Walk(g, first.end, steps, first.symmetric)

@@ -16,6 +16,7 @@ from walkmaps.cli import (
     EXIT_BAD_JSON,
     EXIT_BAD_ROTATION,
     EXIT_BAD_SCHEMA,
+    EXIT_CLOSED_PIPE,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
@@ -352,6 +353,18 @@ def test_check_spherical_certificates_dump(tmp_path, capsys, monkeypatch):
     assert certs and all({"source", "target", "moves"} <= set(c) for c in certs)
 
 
+def test_bounded_certificate_bytes_match_golden(tmp_path, capsys, monkeypatch):
+    # every certificate the bounded checker writes, move for move and byte for byte
+    out = tmp_path / "certs.json"
+    argv = ["check-spherical", "digon.json", "--method", "bounded", "--certificates", str(out)]
+    _, code = _run(argv, capsys, monkeypatch)
+    assert code == EXIT_OK
+    path = GOLDEN_DIR / "digon_spherical_bounded_certificates.json"
+    if UPDATE:
+        path.write_bytes(out.read_bytes())
+    assert out.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["homotopic", "digon.json", "--w1", "0:e0+", "--w2", "0:e1+"], ["check-spherical", "digon.json"]],
@@ -421,6 +434,30 @@ def test_negative_budget_exits_64(name, argv, env, capsys, monkeypatch):
     assert any("must be non-negative" in d for d in report["diagnostics"])
 
 
+def _cli_env() -> dict:
+    """The environment for ``python -m walkmaps.cli`` on this checkout's sources."""
+    src = str(Path(walkmaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the pipe's reader is closed before the command starts, so the report
+    # cannot be written however small it is
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "walkmaps.cli", "euler", "loop1.json"],
+            cwd=DATA_DIR, env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_CLOSED_PIPE
+    assert stderr == b""
+
+
 def test_normalize_subprocess_on_a_long_walk(tmp_path):
     # a leading loop 0 -> 1 -> 0, a loop-free chain of 2500 edges, and a
     # closing self-loop whose collapse is lifted under the whole chain
@@ -431,11 +468,9 @@ def test_normalize_subprocess_on_a_long_walk(tmp_path):
         json.dumps({"nodes": chain + 2, "edges": edges}), encoding="utf-8"
     )
     text = "0:" + ",".join(f"e{e}+" for e in range(len(edges)))
-    src = str(Path(walkmaps.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "walkmaps.cli", "normalize", "chain.json", "--walk", text],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path, env=_cli_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr[-2000:]

@@ -693,3 +693,31 @@ def test_dart_codes_of_256_and_above(bench_corpus):
     for (face, a, b, direction), i, nxt in successors:
         moved = Walk(g, w1.start, _darts(nxt), symmetric=True)
         assert apply_hcollapse(m, w1, HomotopyMove(face, a, b, i, direction)) == moved
+
+
+@pytest.fixture(scope="module")
+def erasure_maps(bench_corpus):
+    """The spherical fixtures and three seeded face-split random spheres."""
+    import random
+
+    planar = [
+        _corpus_map(bench_corpus.random_planar(random.Random(seed), nodes, edges))
+        for seed, nodes, edges in ((1, 5, 7), (2, 6, 9), (3, 6, 10))
+    ]
+    return [*spherical_fixture_maps().values(), *planar]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loop_erasure_is_the_normal_form_of_normalize(erasure_maps, data):
+    # the certifier's one loop-erasure pass keeps the walk that
+    # rewrite.normalize's fixed strategy reaches, and its moves replay onto it
+    from walkmaps.homotopy import _Certifier
+
+    from .strategies import walks_on
+
+    m = data.draw(st.sampled_from(erasure_maps))
+    w = data.draw(walks_on(m.graph, max_len=10))
+    nf, moves = _Certifier(m, default_budget(m)).normal_form(w)
+    assert nf == normalize(w)[0]
+    assert replay_certificate(m, HomotopyCertificate(w, nf, moves)) == nf

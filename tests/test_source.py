@@ -43,12 +43,16 @@ def test_no_function_calls_itself():
 
 
 def _call_sites(tree: ast.AST, callee: str):
-    """The qualified name of the function around each call of ``callee`` by name."""
+    """The qualified name of the function around each call of ``callee``, bare or as an attribute."""
     stack = [(tree, "")]
     while stack:
         node, scope = stack.pop()
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee:
-            yield scope
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == callee) or (
+                isinstance(f, ast.Attribute) and f.attr == callee
+            ):
+                yield scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         stack.extend((child, scope) for child in ast.iter_child_nodes(node))
@@ -60,6 +64,11 @@ def test_homotopy_searches_and_reads_euler_in_one_place():
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert set(_call_sites(tree, "_Blocked")) == {"_Certifier.prove"}
     assert list(_call_sites(tree, "euler_characteristic")) == ["check_spherical_euler"]
+    # normal forms come from one loop-erasure pass; rewrite.normalize runs
+    # only for the trace normalize_homotopy returns, and no reduction step is read
+    assert list(_call_sites(tree, "normalize")) == ["normalize_homotopy"]
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attributes & {"depth", "before", "after"} == set()
 
 
 def _reads(tree: ast.AST):
